@@ -41,10 +41,15 @@
 //!
 //! `greedy[d]` needs no rounds at all: order the bins by load and the
 //! least loaded of `d` uniform samples is the class containing the
-//! minimum of `d` uniform *ranks* — an exact `O(#levels)` per-ball chain
-//! that finally makes `greedy` runnable at `m = n²` scale. `one-choice`
-//! is the `t = ∞` threshold rule (no bin ever closes, a single round
-//! places everything).
+//! minimum of `d` uniform *ranks*. The kernel ([`place_least_of_d`])
+//! keeps the classes as a `u32` prefix array and works in blocks of
+//! 256 balls: one `fill_u64` call draws a block's words, each rank is
+//! the minimum of `d` exact 32-bit Lemire lanes, one vectorizable pass
+//! per class classifies the block against the thresholds frozen at its
+//! start, and a sequential fix-up pass moves a ball up while its rank
+//! has outgrown the (only shrinking) threshold — exact, with no
+//! per-ball class walk. `one-choice` is the `t = ∞` threshold rule (no
+//! bin ever closes, a single round places everything).
 //!
 //! # What is and is not preserved
 //!
@@ -1622,11 +1627,20 @@ fn place_histogram_below_with<R: Rng64 + ?Sized>(
     }
 }
 
+/// Balls per block of the `greedy[d]` kernel: one `fill_u64` call draws
+/// a block's words, and one classification pass per occupancy class
+/// sorts the block's ranks against the thresholds frozen at its start.
+const LEAST_OF_D_BLOCK: usize = 256;
+
 /// Places `count` balls under the `greedy[d]` law, exactly: order the
 /// bins ascending by load and the least loaded of `d` uniform samples
 /// (with replacement) is the class containing the minimum of `d`
 /// uniform ranks; within the class the receiving bin is exchangeable,
 /// and both tie-break rules collapse to the same class choice.
+///
+/// The balls run in blocks of [`LEAST_OF_D_BLOCK`]: [`MinRanks`] draws
+/// the block's ranks, then [`ClassCdf`] places them in ball order.
+/// Panics if `n` exceeds the workspace's `u32` bin-id range.
 pub fn place_least_of_d<R: Rng64 + ?Sized>(
     hist: &mut OccupancyHistogram,
     d: u32,
@@ -1634,25 +1648,231 @@ pub fn place_least_of_d<R: Rng64 + ?Sized>(
     rng: &mut R,
 ) -> BatchStats {
     debug_assert!(d >= 1);
-    let n = hist.n;
-    for _ in 0..count {
-        let mut r = rng.range_u64(n);
-        for _ in 1..d {
-            r = r.min(rng.range_u64(n));
-        }
-        let mut chosen = hist.base;
-        for (i, &c) in hist.counts.iter().enumerate() {
-            if r < c {
-                chosen = hist.base + i as u32;
-                break;
-            }
-            r -= c;
-        }
-        hist.promote(chosen, 1, 1);
+    let n = u32::try_from(hist.n).expect("greedy[d] bin ids are u32: n ≤ u32::MAX");
+    let mut min_ranks = MinRanks::new(n, d as usize);
+    let mut cdf = ClassCdf::new(hist, n);
+    let mut ranks = [0u32; LEAST_OF_D_BLOCK];
+    let mut left = count;
+    while left > 0 {
+        let b = left.min(LEAST_OF_D_BLOCK as u64) as usize;
+        min_ranks.fill(&mut ranks[..b], rng);
+        cdf.place(&ranks[..b]);
+        left -= b as u64;
     }
+    cdf.write_back(hist);
     BatchStats {
-        samples: count * d as u64,
-        max_samples_per_ball: if count > 0 { d as u64 } else { 0 },
+        samples: count * u64::from(d),
+        max_samples_per_ball: if count > 0 { u64::from(d) } else { 0 },
+    }
+}
+
+/// The low 32 bits of a word.
+const LOW32: u64 = 0xFFFF_FFFF;
+
+/// Draws blocks of `greedy[d]` ranks: each ball's rank is the minimum
+/// of `d` exactly uniform ranks in `[0, n)`, each from one 32-bit
+/// Lemire lane (two lanes per word), with a rejected lane redrawn.
+struct MinRanks {
+    n: u32,
+    d: usize,
+    /// `2^32 mod n`: a lane `x` is rejected iff `(x·n) mod 2^32` is
+    /// below this.
+    reject_below: u64,
+    words: Vec<u64>,
+    /// Choice-major lane ranks: choice `j` of ball `i` sits at
+    /// `j·b + i` for a block of `b` balls, so the min over choices is a
+    /// contiguous elementwise pass.
+    lanes: Vec<u32>,
+}
+
+impl MinRanks {
+    fn new(n: u32, d: usize) -> Self {
+        let words = (LEAST_OF_D_BLOCK * d).div_ceil(2);
+        Self {
+            n,
+            d,
+            reject_below: (1u64 << 32) % u64::from(n),
+            words: vec![0; words],
+            lanes: vec![0; 2 * words],
+        }
+    }
+
+    /// The rank of lane `x`, or `None` when Lemire's rejection step
+    /// throws the lane away.
+    #[inline]
+    fn rank(&self, x: u64) -> Option<u32> {
+        let m = x * u64::from(self.n);
+        ((m & LOW32) >= self.reject_below).then(|| hi32(m))
+    }
+
+    /// Fills `ranks` (at most one block) with independent `greedy[d]`
+    /// ranks. The block's words come from one `fill_u64` call: lane `k`
+    /// is the low half of word `k` and lane `w + k` its high half.
+    fn fill<R: Rng64 + ?Sized>(&mut self, ranks: &mut [u32], rng: &mut R) {
+        let b = ranks.len();
+        let w = (b * self.d).div_ceil(2);
+        let words = &mut self.words[..w];
+        rng.fill_u64(words);
+        let n = u64::from(self.n);
+        let (low, high) = self.lanes[..2 * w].split_at_mut(w);
+        let mut rejected = false;
+        for ((lo, hi), &x) in low.iter_mut().zip(high.iter_mut()).zip(words.iter()) {
+            let ml = (x & LOW32) * n;
+            let mh = (x >> 32) * n;
+            rejected |= ((ml & LOW32) < self.reject_below) | ((mh & LOW32) < self.reject_below);
+            *lo = hi32(ml);
+            *hi = hi32(mh);
+        }
+        if rejected {
+            self.redraw_rejected(w, rng);
+        }
+        let (first, rest) = self.lanes[..b * self.d].split_at(b);
+        ranks.copy_from_slice(first);
+        for choice in rest.chunks_exact(b) {
+            for (r, &x) in ranks.iter_mut().zip(choice) {
+                *r = (*r).min(x);
+            }
+        }
+    }
+
+    /// Replaces every rejected lane of the last block (`w` words) with
+    /// a fresh accepted one, drawn two lanes per word in lane order.
+    #[cold]
+    fn redraw_rejected<R: Rng64 + ?Sized>(&mut self, w: usize, rng: &mut R) {
+        let mut spare: Option<u64> = None;
+        let mut next_lane = || match spare.take() {
+            Some(x) => x,
+            None => {
+                let x = rng.next_u64();
+                spare = Some(x >> 32);
+                x & LOW32
+            }
+        };
+        for k in 0..2 * w {
+            let x = if k < w {
+                self.words[k] & LOW32
+            } else {
+                self.words[k - w] >> 32
+            };
+            if self.rank(x).is_none() {
+                self.lanes[k] = loop {
+                    if let Some(r) = self.rank(next_lane()) {
+                        break r;
+                    }
+                };
+            }
+        }
+    }
+}
+
+/// The high 32 bits of a word.
+#[inline]
+fn hi32(x: u64) -> u32 {
+    u32::try_from(x >> 32).unwrap_or(u32::MAX)
+}
+
+/// The class index just past `j`, out of line: the placement loop then
+/// branches on the rare emptied class instead of carrying `lo` through
+/// a conditional move, which would chain every ball's class lookup to
+/// the previous ball's decrement.
+#[cold]
+#[inline(never)]
+fn past(j: usize) -> usize {
+    j + 1
+}
+
+/// The occupancy classes of a histogram as a `u32` prefix array:
+/// `cum[j]` = number of bins with load `≤ base + j`, so the class of a
+/// rank `r` is the first `j` with `r < cum[j]`, and a ball landing in
+/// class `j` only decrements `cum[j]`. Entries past the top class
+/// (the first `cum[j] = n`) are padding, also `n`.
+struct ClassCdf {
+    cum: Vec<u32>,
+    base: u32,
+    n: u32,
+    /// Per-ball class of the current block against its frozen
+    /// thresholds.
+    class: [u32; LEAST_OF_D_BLOCK],
+}
+
+impl ClassCdf {
+    fn new(hist: &OccupancyHistogram, n: u32) -> Self {
+        let mut total = 0u64;
+        let cum = hist
+            .counts
+            .iter()
+            .map(|&c| {
+                total += c;
+                u32::try_from(total).expect("prefix counts are bounded by n ≤ u32::MAX")
+            })
+            .collect();
+        Self {
+            cum,
+            base: hist.base,
+            n,
+            class: [0; LEAST_OF_D_BLOCK],
+        }
+    }
+
+    /// Index of the top class, the first with `cum = n`.
+    fn top(&self) -> usize {
+        self.cum
+            .iter()
+            .position(|&c| c == self.n)
+            .expect("the prefix counts reach n")
+    }
+
+    /// Places one block of ranks (at most [`LEAST_OF_D_BLOCK`]) in
+    /// order. Each rank is first classified against the thresholds
+    /// frozen at block start, one vectorizable pass per threshold; then
+    /// a sequential pass places the balls, moving a ball's class up
+    /// while `r ≥ cum[j]`. Thresholds only shrink within the block, so
+    /// the true class is never below the frozen one and the result is
+    /// the per-ball chain's, exactly.
+    fn place(&mut self, ranks: &[u32]) {
+        // Slide the base past the empty low classes.
+        let lead = self.cum.iter().take_while(|&&c| c == 0).count();
+        if lead > 0 {
+            self.cum.drain(..lead);
+            self.base += u32::try_from(lead).expect("the span is bounded by the u32 load range");
+        }
+        let top = self.top();
+        let class = &mut self.class[..ranks.len()];
+        class.fill(0);
+        for &t in &self.cum[..top] {
+            for (c, &r) in class.iter_mut().zip(ranks) {
+                *c += u32::from(r >= t);
+            }
+        }
+        // Each ball raises the top class by at most one.
+        self.cum.resize(top + 1 + ranks.len(), self.n);
+        let cum = &mut self.cum[..];
+        // Classes below `lo` have emptied during this block.
+        let mut lo = 0usize;
+        for (&r, &c) in ranks.iter().zip(class.iter()) {
+            let mut j = (c as usize).max(lo);
+            while r >= cum[j] {
+                j += 1;
+            }
+            cum[j] -= 1;
+            if cum[j] == 0 {
+                lo = past(j);
+            }
+        }
+        let top = self.top();
+        self.cum.truncate(top + 1);
+    }
+
+    /// Writes the classes back into `hist`.
+    fn write_back(&self, hist: &mut OccupancyHistogram) {
+        let mut prev = 0u32;
+        hist.counts.clear();
+        hist.counts.extend(self.cum[..=self.top()].iter().map(|&c| {
+            let count = u64::from(c - prev);
+            prev = c;
+            count
+        }));
+        hist.base = self.base;
     }
 }
 
@@ -2103,6 +2323,94 @@ mod tests {
             hist.max_load() - hist.min_load() <= 12,
             "greedy[2] gap blew up"
         );
+    }
+
+    /// The per-ball `greedy[d]` chain the block kernel replaces: walk
+    /// the classes to the one holding rank `r`, promote one bin.
+    fn naive_least_of_d(hist: &mut OccupancyHistogram, ranks: &[u32]) {
+        for &r in ranks {
+            let mut r = u64::from(r);
+            let mut chosen = hist.base;
+            for (i, &c) in hist.counts.iter().enumerate() {
+                if r < c {
+                    chosen = hist.base + u32::try_from(i).unwrap();
+                    break;
+                }
+                r -= c;
+            }
+            hist.promote(chosen, 1, 1);
+        }
+    }
+
+    /// A histogram of `n` bins pushed through a few random promotions,
+    /// so it can start with several classes, gaps and an empty low end.
+    fn random_start(n: usize, rng: &mut SplitMix64) -> OccupancyHistogram {
+        let mut hist = OccupancyHistogram::new(n);
+        for _ in 0..rng.range_u64(6) {
+            let levels: Vec<(u32, u64)> = hist.levels().collect();
+            let (l, c) = levels[rng.range_usize(levels.len())];
+            hist.promote(l, 1 + rng.range_u64(c), [1, 2, 3, 4][rng.range_usize(4)]);
+        }
+        hist
+    }
+
+    #[test]
+    fn least_of_d_blocks_match_the_per_ball_chain() {
+        // Rank fill and block placement, driven block by block, must
+        // leave exactly the histogram the naive per-ball chain leaves on
+        // the same ranks — across block tails (count not a multiple of
+        // the block), top-class growth and the base slide (n = 1 grows
+        // the span on every ball) — and `place_least_of_d` must be that
+        // same pipeline on the same stream.
+        let mut rng = SplitMix64::new(41);
+        for case in 0..400 {
+            let n = 1 + rng.range_usize(64);
+            let n32 = u32::try_from(n).unwrap();
+            let d32 = [1u32, 2, 3, 4][rng.range_usize(4)];
+            let d = d32 as usize;
+            let count = rng.range_usize(3 * LEAST_OF_D_BLOCK + 1);
+            let start = random_start(n, &mut rng);
+            let seed = rng.next_u64();
+
+            let mut fast = start.clone();
+            let mut fill = MinRanks::new(n32, d);
+            let mut cdf = ClassCdf::new(&fast, n32);
+            let mut ranks = Vec::with_capacity(count);
+            let mut block_rng = SplitMix64::new(seed);
+            let mut block = [0u32; LEAST_OF_D_BLOCK];
+            while ranks.len() < count {
+                let b = (count - ranks.len()).min(LEAST_OF_D_BLOCK);
+                fill.fill(&mut block[..b], &mut block_rng);
+                assert!(
+                    block[..b].iter().all(|&r| (r as usize) < n),
+                    "case {case}: rank ≥ n"
+                );
+                cdf.place(&block[..b]);
+                ranks.extend_from_slice(&block[..b]);
+            }
+            cdf.write_back(&mut fast);
+
+            let mut slow = start.clone();
+            naive_least_of_d(&mut slow, &ranks);
+            let ctx = format!("case {case}: n={n} d={d} count={count}");
+            assert_eq!(
+                fast.levels().collect::<Vec<_>>(),
+                slow.levels().collect::<Vec<_>>(),
+                "{ctx}"
+            );
+            fast.check_invariants();
+            assert_eq!(
+                total_balls(&fast),
+                total_balls(&start) + count as u64,
+                "{ctx}"
+            );
+
+            let mut kernel = start.clone();
+            let stats =
+                place_least_of_d(&mut kernel, d32, count as u64, &mut SplitMix64::new(seed));
+            assert_eq!(kernel, fast, "{ctx}: kernel differs from its own blocks");
+            assert_eq!(stats.samples, (d * count) as u64);
+        }
     }
 
     #[test]

@@ -323,7 +323,7 @@ where
     // `Concurrent` has no sequential-family path: resolve it like
     // `Auto` (documented on the `Engine` enum).
     let engine = match cfg.engine {
-        Engine::Auto | Engine::Concurrent => Engine::auto_scheduled(cfg.n, cfg.m),
+        Engine::Auto | Engine::Concurrent => Engine::resolve_auto(cfg.n, cfg.m),
         engine => engine,
     };
     match engine {

@@ -55,8 +55,8 @@ use bib_rng::Rng64;
 ///
 /// `Auto` is not an engine of its own: each protocol resolves it to the
 /// measured-fastest concrete engine for its `(protocol, n, m)` cell
-/// before running (see [`Engine::auto_scheduled`] /
-/// [`Engine::auto_fixed`], calibrated against `BENCH_engines.json`).
+/// before running (see [`Engine::resolve_auto`] /
+/// [`Engine::auto_weighted`], calibrated against `BENCH_engines.json`).
 /// For the parallel family, `Auto` with `threads > 1` resolves to
 /// `Concurrent` — a request for threads is a request for the engine
 /// that can use them.
@@ -112,49 +112,21 @@ impl Engine {
         }
     }
 
-    /// Resolves `Auto` for a threshold-scheduled protocol.
+    /// Resolves `Auto` for every family whose two concrete paths are the
+    /// faithful per-ball (or per-contact) loop and a histogram engine:
+    /// the threshold-scheduled protocols, the fixed-sample protocols
+    /// (`one-choice`, `greedy[d]`) and the round-synchronous parallel
+    /// family (whose histogram path is the round-occupancy engine in
+    /// `bib-parallel::protocols`).
     ///
-    /// Calibrated against the committed `BENCH_engines.json` (a serial,
-    /// single-worker run — see `bench_json --serial`): the histogram
-    /// engine is the measured-fastest at every size in the matrix for
-    /// every schedule shape (its round cost is independent of `n`), so
-    /// the faithful per-ball loop only wins when the run is tiny or `n`
-    /// is so large relative to `m` that the engine's `O(n)`
-    /// reconstruction and assignment permutation dominate the placement
-    /// work itself.
-    pub fn auto_scheduled(n: usize, m: u64) -> Engine {
-        if m < (1 << 13) || 4 * m < n as u64 {
-            Engine::Faithful
-        } else {
-            Engine::Histogram
-        }
-    }
-
-    /// Resolves `Auto` for the fixed-sample protocols that have a
-    /// histogram fast path (`one-choice`, `greedy[d]`): per-bin
-    /// sequential placement while small (its cache-resident loop is hard
-    /// to beat), histogram once the run is heavy enough that collapsing
-    /// the bin dimension pays — which `BENCH_engines.json` puts at
-    /// roughly a million balls.
-    pub fn auto_fixed(n: usize, m: u64) -> Engine {
-        if m >= (1 << 20) && 4 * m >= n as u64 {
-            Engine::Histogram
-        } else {
-            Engine::Faithful
-        }
-    }
-
-    /// Resolves `Auto` for the round-synchronous parallel family
-    /// (`collision`, `bounded-load`, `parallel-greedy`), which has two
-    /// concrete paths: the faithful per-contact round loop and the
-    /// round-occupancy engine (`bib-parallel::protocols`), whose
-    /// per-round cost is `O(max multiplicity · #occupancy classes)` —
-    /// independent of the contact count. The engine still pays one
-    /// `O(n)` reconstruction pass at the end, so the faithful loop wins
-    /// only when the run is small enough to be cache-resident or `n`
-    /// dwarfs `m` (measured in `BENCH_engines.json`,
-    /// `scenario = "parallel"` rows).
-    pub fn auto_parallel(n: usize, m: u64) -> Engine {
+    /// Measured in `BENCH_engines.json` (a serial, single-worker run —
+    /// see `bench_json --serial`): every histogram engine's placement
+    /// cost is independent of `n` and its outcome is lazy, so it is the
+    /// faster path unless the run is tiny (`m < 2¹³`, where the
+    /// cache-resident faithful loop wins) or `n` dwarfs `m` (`4m < n`,
+    /// where the seeded reconstruction a caller may still demand
+    /// outweighs the placement work itself).
+    pub fn resolve_auto(n: usize, m: u64) -> Engine {
         if m < (1 << 13) || 4 * m < n as u64 {
             Engine::Faithful
         } else {
@@ -170,10 +142,10 @@ impl Engine {
     /// — and for tiny runs — the cache-resident per-ball loop wins
     /// (measured in `BENCH_engines.json`, `scenario = "weighted"` rows).
     pub fn auto_weighted(n: usize, m: u64, k: usize) -> Engine {
-        if m < (1 << 13) || 4 * m < n as u64 || m < 64 * k as u64 {
+        if m < 64 * k as u64 {
             Engine::Faithful
         } else {
-            Engine::Histogram
+            Engine::resolve_auto(n, m)
         }
     }
 }

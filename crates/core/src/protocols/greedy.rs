@@ -80,7 +80,7 @@ impl Protocol for GreedyD {
         // `Concurrent` has no fixed-sample path: resolve it like
         // `Auto` (documented on the `Engine` enum).
         let engine = match cfg.engine {
-            Engine::Auto | Engine::Concurrent => Engine::auto_fixed(cfg.n, cfg.m),
+            Engine::Auto | Engine::Concurrent => Engine::resolve_auto(cfg.n, cfg.m),
             engine => engine,
         };
         if engine == Engine::Histogram {
@@ -174,6 +174,37 @@ mod tests {
         let mut rng = SplitMix64::new(9);
         let out = g.allocate(&cfg, &mut rng, &mut NullObserver);
         out.validate();
+    }
+
+    #[test]
+    fn auto_resolves_fixed_sample_cells() {
+        // The fixed-sample cutover: faithful while the run is tiny or n
+        // dwarfs m, histogram otherwise.
+        for (n, m, engine) in [
+            (4usize, 100u64, Engine::Faithful),
+            (10_000, 1_000_000, Engine::Histogram),
+            (1_000_000, 100_000, Engine::Faithful),
+        ] {
+            assert_eq!(Engine::resolve_auto(n, m), engine, "n={n} m={m}");
+        }
+        // Auto runs exactly the engine it resolves to, on both sides of
+        // the cutover.
+        for (n, m) in [(4usize, 100u64), (16, 1 << 13)] {
+            let resolved = Engine::resolve_auto(n, m);
+            for proto in [
+                Box::new(GreedyD::new(2)) as Box<dyn crate::protocol::DynProtocol>,
+                Box::new(OneChoice),
+            ] {
+                let run = |engine| {
+                    let cfg = RunConfig::new(n, m).with_engine(engine);
+                    proto.dyn_allocate(&cfg, &mut SplitMix64::new(31), &mut NullObserver)
+                };
+                let out = run(Engine::Auto);
+                out.validate();
+                assert_eq!(out.total_balls(), m);
+                assert_eq!(out, run(resolved), "{} n={n} m={m}", proto.dyn_name());
+            }
+        }
     }
 
     #[test]

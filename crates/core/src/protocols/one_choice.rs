@@ -39,7 +39,7 @@ impl Protocol for OneChoice {
         // `Concurrent` has no fixed-sample path: resolve it like
         // `Auto` (documented on the `Engine` enum).
         let engine = match cfg.engine {
-            Engine::Auto | Engine::Concurrent => Engine::auto_fixed(cfg.n, cfg.m),
+            Engine::Auto | Engine::Concurrent => Engine::resolve_auto(cfg.n, cfg.m),
             engine => engine,
         };
         if engine == Engine::Histogram {

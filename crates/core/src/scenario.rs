@@ -41,15 +41,12 @@
 //! the four concrete engines, the weighted family and the parallel
 //! round family (`bib-parallel::protocols`) each dispatch between
 //! their faithful path and their histogram fast path, and `Auto`
-//! resolves per family through [`Engine::auto_scheduled`] /
-//! [`Engine::auto_fixed`] / [`Engine::auto_weighted`] /
-//! [`Engine::auto_parallel`] — no protocol silently ignores an engine
-//! request without a documented aliasing rule.
+//! resolves through [`Engine::resolve_auto`] (the weighted family
+//! through [`Engine::auto_weighted`]) — no protocol silently ignores
+//! an engine request without a documented aliasing rule.
 //!
-//! [`Engine::auto_scheduled`]: crate::protocol::Engine::auto_scheduled
-//! [`Engine::auto_fixed`]: crate::protocol::Engine::auto_fixed
+//! [`Engine::resolve_auto`]: crate::protocol::Engine::resolve_auto
 //! [`Engine::auto_weighted`]: crate::protocol::Engine::auto_weighted
-//! [`Engine::auto_parallel`]: crate::protocol::Engine::auto_parallel
 //!
 //! [`Engine`]: crate::protocol::Engine
 //! [`Observer`]: crate::protocol::Observer

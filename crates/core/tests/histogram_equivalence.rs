@@ -357,3 +357,98 @@ fn stage_traces_fire_like_sequential_engines() {
     // permutation throughout).
     assert_eq!(*trace.gaps.last().unwrap(), out.gap());
 }
+
+/// An rng that counts the words drawn through it.
+struct CountingRng {
+    inner: bib_rng::SplitMix64,
+    words: u64,
+}
+
+impl bib_rng::Rng64 for CountingRng {
+    fn next_u64(&mut self) -> u64 {
+        self.words += 1;
+        self.inner.next_u64()
+    }
+}
+
+#[test]
+fn least_of_d_lane_rejection_keeps_the_exact_law() {
+    // n = 3·2³⁰: 2³² mod n = 2³⁰, so a quarter of the 32-bit lanes are
+    // rejected and redrawn. From three equal classes, greedy[2] lands
+    // in the lowest with probability 1 − (2/3)² = 5/9, the middle with
+    // 3/9 and the top with 1/9 (10⁵ balls move the class sizes by
+    // < 10⁻⁴, far below the test's resolution).
+    use bib_analysis::chisq::chi_square_gof;
+    use bib_core::histogram::{place_least_of_d, OccupancyHistogram};
+    let third = 1u64 << 30;
+    let mut hist = OccupancyHistogram::new(3 * third as usize);
+    hist.promote(0, 2 * third, 1);
+    hist.promote(1, third, 1);
+    let balls = 100_000u64;
+    let mut rng = CountingRng {
+        inner: bib_rng::SplitMix64::new(12),
+        words: 0,
+    };
+    let stats = place_least_of_d(&mut hist, 2, balls, &mut rng);
+    assert_eq!(stats.samples, 2 * balls);
+    hist.check_invariants();
+    assert_eq!(hist.max_load(), 3);
+    // Two lanes per word, a quarter of them redrawn: about 1.33·10⁵
+    // words, against exactly 10⁵ with no rejection.
+    assert!(
+        rng.words > balls + balls / 5,
+        "only {} words drawn: the rejection path did not run",
+        rng.words
+    );
+    // Landing counts from the final classes: every ball that left a
+    // class moved exactly one level up.
+    let top = hist.count(3);
+    let middle = top + hist.count(2) - third;
+    let low = third - hist.count(0);
+    assert_eq!(low + middle + top, balls);
+    let landed = [low, middle, top];
+    let chi = chi_square_gof(&landed, &[5.0 / 9.0, 3.0 / 9.0, 1.0 / 9.0], 0, 5.0);
+    assert!(chi.p_value > 1e-4, "landing counts {landed:?}: {chi:?}");
+}
+
+#[test]
+fn greedy_kernel_matches_exact_enumeration_n3_m6() {
+    // The exact law of greedy[2]'s final sorted load vector at n = 3,
+    // m = 6, by dynamic programming over sorted states: the least
+    // loaded of two uniform samples is sorted position k with
+    // probability ((3−k)² − (2−k)²)/9 = 5/9, 3/9, 1/9.
+    use bib_analysis::chisq::chi_square_gof;
+    use bib_core::histogram::{place_least_of_d, OccupancyHistogram};
+    use std::collections::BTreeMap;
+    let (n, m) = (3usize, 6u64);
+    let pos = [5.0 / 9.0, 3.0 / 9.0, 1.0 / 9.0];
+    let mut law: BTreeMap<Vec<u32>, f64> = BTreeMap::from([(vec![0; n], 1.0)]);
+    for _ in 0..m {
+        let mut next = BTreeMap::new();
+        for (state, p) in &law {
+            for (k, q) in pos.iter().enumerate() {
+                let mut s = state.clone();
+                s[k] += 1;
+                s.sort_unstable();
+                *next.entry(s).or_insert(0.0) += p * q;
+            }
+        }
+        law = next;
+    }
+    assert!((law.values().sum::<f64>() - 1.0).abs() < 1e-12);
+
+    let reps = 40_000u64;
+    let mut observed: BTreeMap<Vec<u32>, u64> = law.keys().map(|s| (s.clone(), 0)).collect();
+    let mut rng = bib_rng::SplitMix64::new(2013);
+    for _ in 0..reps {
+        let mut hist = OccupancyHistogram::new(n);
+        place_least_of_d(&mut hist, 2, m, &mut rng);
+        *observed
+            .get_mut(&hist.to_sorted_loads())
+            .expect("the kernel reached a state the exact law gives probability 0") += 1;
+    }
+    let counts: Vec<u64> = observed.values().copied().collect();
+    let probs: Vec<f64> = law.values().copied().collect();
+    let chi = chi_square_gof(&counts, &probs, 0, 5.0);
+    assert!(chi.p_value > 1e-4, "{chi:?}\n{observed:?}\n{law:?}");
+}

@@ -68,7 +68,7 @@ impl Protocol for Collision {
     /// `Histogram`/`LevelBatched` the round-occupancy engine,
     /// `Concurrent` the sharded multi-thread engine
     /// ([`super::concurrent`]), `Auto` the measured cutoff
-    /// [`Engine::auto_parallel`] (promoted to `Concurrent` when
+    /// [`Engine::resolve_auto`] (promoted to `Concurrent` when
     /// `cfg.threads > 1`). The round-occupancy path is *exact* as a
     /// lumped chain — acceptance depends only on a bin's request
     /// multiplicity, never on its load, so the occupancy histogram is a

@@ -18,7 +18,7 @@
 //! engine in `RunConfig` (the family's resolution rule lives in
 //! [`round_occupancy`](self): `Faithful`/`Jump` → per-contact rounds,
 //! `Histogram`/`LevelBatched` → round-occupancy, `Concurrent` →
-//! sharded multi-thread, `Auto` → `Engine::auto_parallel`, promoted to
+//! sharded multi-thread, `Auto` → `Engine::resolve_auto`, promoted to
 //! `Concurrent` when `RunConfig::threads > 1`): the *faithful*
 //! per-contact rounds of the published processes; the *round-occupancy
 //! engine*, which draws each round's request-multiplicity profile in

@@ -88,7 +88,7 @@ impl Protocol for ParallelGreedy {
     /// `Histogram`/`LevelBatched` the round-occupancy engine,
     /// `Concurrent` the sharded multi-thread engine
     /// ([`super::concurrent`]), `Auto` the measured cutoff
-    /// [`Engine::auto_parallel`] (promoted to `Concurrent` when
+    /// [`Engine::resolve_auto`] (promoted to `Concurrent` when
     /// `cfg.threads > 1`).
     fn allocate<R, O>(&self, cfg: &RunConfig, rng: &mut R, obs: &mut O) -> Outcome
     where

@@ -37,7 +37,7 @@
 //! round-occupancy engine (the round engine *is* the family's batched
 //! path), `Concurrent` runs the sharded multi-thread engine
 //! ([`super::concurrent`]), and `Auto` resolves through
-//! [`Engine::auto_parallel`] — except that an explicit `--threads`
+//! [`Engine::resolve_auto`] — except that an explicit `--threads`
 //! request above one promotes `Auto` to `Concurrent` (a multi-thread
 //! run on a serial engine would be a silent lie). No request is
 //! silently ignored.
@@ -46,7 +46,7 @@
 //! [`hypergeometric`]: bib_core::histogram::hypergeometric
 //! [`distinct_hit_count`]: bib_core::histogram::distinct_hit_count
 //! [`OccupancyHistogram::shuffled_loads`]: bib_core::histogram::OccupancyHistogram::shuffled_loads
-//! [`Engine::auto_parallel`]: bib_core::protocol::Engine::auto_parallel
+//! [`Engine::resolve_auto`]: bib_core::protocol::Engine::resolve_auto
 
 use bib_core::histogram::{block_composition, materialize, random_permutation, OccupancyHistogram};
 use bib_core::loads::Loads;
@@ -65,7 +65,7 @@ const EXACT_GROUP: u64 = 8;
 pub(crate) fn resolve_round_engine(engine: Engine, n: usize, m: u64, threads: usize) -> Engine {
     match engine {
         Engine::Auto if threads > 1 => Engine::Concurrent,
-        Engine::Auto => Engine::auto_parallel(n, m),
+        Engine::Auto => Engine::resolve_auto(n, m),
         Engine::Faithful | Engine::Jump => Engine::Faithful,
         Engine::Histogram | Engine::LevelBatched => Engine::Histogram,
         Engine::Concurrent => Engine::Concurrent,

@@ -458,7 +458,7 @@ fn auto_resolves_deterministically_and_matches_stream() {
         (1 << 14, 1u64 << 14, Engine::Histogram),
         (256, 256, Engine::Faithful),
     ] {
-        assert_eq!(Engine::auto_parallel(n, m), resolved);
+        assert_eq!(Engine::resolve_auto(n, m), resolved);
         for proto in [
             Box::new(Collision::new(1)) as Box<dyn DynProtocol>,
             Box::new(BoundedLoad::new(2)),

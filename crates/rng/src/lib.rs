@@ -56,12 +56,34 @@ pub use xoshiro::{Xoshiro256PlusPlus, Xoshiro256StarStar};
 pub trait Rng64 {
     /// Returns the next 64 uniformly distributed bits.
     fn next_u64(&mut self) -> u64;
+
+    /// Fills `dest` with the next `dest.len()` words of the stream —
+    /// exactly the words that many [`Rng64::next_u64`] calls would
+    /// return, in the same order. Block consumers call this once per
+    /// block, so behind a `&mut dyn Rng64` a block costs one virtual
+    /// call instead of one per word.
+    ///
+    /// An override may only change how the words are produced: it must
+    /// preserve stream order, leaving the generator where the
+    /// equivalent `next_u64` calls would, so seeded runs replay the same
+    /// whichever path drew the words.
+    #[inline]
+    fn fill_u64(&mut self, dest: &mut [u64]) {
+        for w in dest {
+            *w = self.next_u64();
+        }
+    }
 }
 
 impl<R: Rng64 + ?Sized> Rng64 for &mut R {
     #[inline]
     fn next_u64(&mut self) -> u64 {
         (**self).next_u64()
+    }
+
+    #[inline]
+    fn fill_u64(&mut self, dest: &mut [u64]) {
+        (**self).fill_u64(dest)
     }
 }
 

@@ -245,3 +245,43 @@ proptest! {
         prop_assert!((total as i64 - 600).unsigned_abs() < 150, "total {total}");
     }
 }
+
+/// The words `fill_u64` writes for `len` words, drawn through `rng`,
+/// followed by the next word after the block (which pins where the
+/// generator was left).
+fn filled<R: Rng64 + ?Sized>(rng: &mut R, len: usize) -> (Vec<u64>, u64) {
+    let mut words = vec![0u64; len];
+    rng.fill_u64(&mut words);
+    (words, rng.next_u64())
+}
+
+/// The same count of words drawn one `next_u64` at a time.
+fn stepped<R: Rng64>(mut rng: R, len: usize) -> (Vec<u64>, u64) {
+    let words = (0..len).map(|_| rng.next_u64()).collect();
+    (words, rng.next_u64())
+}
+
+/// `fill_u64` through `&mut R`, `&mut dyn Rng64` and `&mut &mut R`
+/// must each replay the `next_u64` stream.
+fn assert_fill_matches<R: Rng64 + Clone>(rng: R, len: usize) {
+    let want = stepped(rng.clone(), len);
+    let mut direct = rng.clone();
+    assert_eq!(filled(&mut direct, len), want, "direct");
+    let mut erased = rng.clone();
+    let dynamic: &mut dyn Rng64 = &mut erased;
+    assert_eq!(filled(dynamic, len), want, "&mut dyn Rng64");
+    let mut inner = rng;
+    let mut outer = &mut inner;
+    assert_eq!(filled(&mut outer, len), want, "&mut &mut R");
+}
+
+proptest! {
+    /// `fill_u64` returns exactly the words of repeated `next_u64`, for
+    /// every generator family and every call path.
+    #[test]
+    fn fill_u64_replays_next_u64(seed in any::<u64>(), len in 0usize..600) {
+        assert_fill_matches(Xoshiro256PlusPlus::seed_from_u64(seed), len);
+        assert_fill_matches(Pcg32::new(seed, seed ^ 0x5bd1e995), len);
+        assert_fill_matches(SplitMix64::new(seed), len);
+    }
+}
