@@ -12,7 +12,7 @@
 //! ```
 
 use bib_analysis::coupon::expected_full_collection;
-use bib_bench::{f, ExpArgs, Table};
+use bib_bench::{f, ExpArgs, Table, ALLOCATION_TIME_ENGINE};
 use bib_core::prelude::*;
 use bib_parallel::replicate::summarize_metric;
 use bib_parallel::replicate_outcomes;
@@ -38,7 +38,7 @@ fn main() {
 
     for &n in &ns {
         let m = phi * n as u64;
-        let cfg = RunConfig::new(n, m).with_engine(args.engine_or(Engine::Jump));
+        let cfg = RunConfig::new(n, m).with_engine(args.engine_or(ALLOCATION_TIME_ENGINE));
         let spec = args.replicate_spec(reps);
         let tight = replicate_outcomes(&Adaptive::tight(), &cfg, &spec);
         let papr = replicate_outcomes(&Adaptive::paper(), &cfg, &spec);

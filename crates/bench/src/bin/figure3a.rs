@@ -13,7 +13,7 @@
 //! cargo run --release -p bib-bench --bin figure3a [-- --quick --csv]
 //! ```
 
-use bib_bench::{f, ExpArgs, Table};
+use bib_bench::{f, ExpArgs, Table, ALLOCATION_TIME_ENGINE};
 use bib_core::prelude::*;
 use bib_parallel::replicate_outcomes;
 
@@ -36,7 +36,7 @@ fn main() {
     ]);
 
     for &m in &ms {
-        let cfg = RunConfig::new(n, m).with_engine(args.engine_or(Engine::Jump));
+        let cfg = RunConfig::new(n, m).with_engine(args.engine_or(ALLOCATION_TIME_ENGINE));
         let spec = args.replicate_spec(reps);
         let ada = replicate_outcomes(&Adaptive::paper(), &cfg, &spec);
         let thr = replicate_outcomes(&Threshold, &cfg, &spec);

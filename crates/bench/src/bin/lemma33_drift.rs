@@ -21,9 +21,8 @@
 
 use bib_analysis::paper;
 use bib_bench::{f, ExpArgs, Table};
-use bib_core::partitioned::PartitionedBins;
+use bib_core::bins::LoadVector;
 use bib_core::potential::{exponential_potential, EPSILON};
-use bib_core::protocol::Engine;
 use bib_core::sampler::place_below;
 use bib_rng::SeedSequence;
 
@@ -85,16 +84,18 @@ fn main() {
                 .child(target as u64)
                 .child(rep)
                 .rng();
-            let mut bins = PartitionedBins::from_loads(start.clone());
+            let mut bins = LoadVector::from_loads(start.clone());
             mean_phi[0] += exponential_potential(bins.as_slice(), bins.total(), EPSILON)
                 / n as f64
                 / reps as f64;
             // Continue the adaptive schedule: the start has t = d·n, so
-            // the next stage is d + 1 with acceptance bound d + 2.
+            // the next stage is d + 1 with acceptance bound d + 2. Each
+            // stage ends at (d + s)·n balls, below n·bound, so a bin
+            // always accepts.
             for s in 1..=horizon {
                 let bound = d + s + 1;
                 for _ in 0..n {
-                    place_below(&mut bins, bound, Engine::Jump, &mut rng);
+                    place_below(&mut bins, bound, &mut rng);
                 }
                 mean_phi[s as usize] +=
                     exponential_potential(bins.as_slice(), bins.total(), EPSILON)

@@ -12,7 +12,7 @@
 //! cargo run --release -p bib-bench --bin retry_histogram [-- --quick --csv]
 //! ```
 
-use bib_bench::{f, ExpArgs, Table};
+use bib_bench::{f, usage_error, ExpArgs, Table};
 use bib_core::prelude::*;
 use bib_core::protocol::{Observer, SampleHistogram};
 use bib_core::run::run_with_observer;
@@ -38,11 +38,12 @@ fn main() {
     let m = phi * n as u64;
     let cells = 16usize;
     let engine = args.engine_or(Engine::Faithful);
-    assert!(
-        matches!(engine, Engine::Faithful | Engine::Jump),
-        "retry_histogram needs per-ball events; the batched engines (and an auto that could \
-         resolve to one) produce none (use --engine faithful or jump)"
-    );
+    if engine != Engine::Faithful {
+        usage_error(
+            "retry_histogram needs per-ball events, which only the faithful engine produces \
+             (use --engine faithful)",
+        );
+    }
     let cfg = RunConfig::new(n, m).with_engine(engine);
 
     println!("# Per-ball retry histogram; n = {n}, phi = {phi} ({engine} engine)\n");

@@ -13,7 +13,7 @@
 //! ```
 
 use bib_analysis::Welford;
-use bib_bench::{f, ExpArgs, Table};
+use bib_bench::{f, ExpArgs, Table, ALLOCATION_TIME_ENGINE};
 use bib_core::prelude::*;
 use bib_core::protocols::table1_suite;
 use bib_core::run::replicate_seed;
@@ -38,7 +38,7 @@ fn main() {
 
     for &phi in phis {
         let m = phi * n as u64;
-        let cfg = RunConfig::new(n, m).with_engine(args.engine_or(Engine::Jump));
+        let cfg = RunConfig::new(n, m).with_engine(args.engine_or(ALLOCATION_TIME_ENGINE));
         let ceil_avg = m.div_ceil(n as u64) as f64;
 
         for proto in table1_suite() {

@@ -265,20 +265,20 @@ fn bench_json_smoke_writes_valid_json() {
         env!("CARGO_BIN_EXE_bench_json"),
         &["--smoke", "--out", path],
     );
-    assert!(echo.contains("level-batched"));
+    assert!(echo.contains("faithful"));
     assert!(echo.contains("histogram"));
     let json = std::fs::read_to_string(&out_path).expect("bench_json must write its output file");
     assert!(json.contains("\"schema\": \"bib-bench/engines/v6\""));
     assert!(json.contains("\"host\""), "host metadata missing");
     assert!(json.contains("\"threads\""), "thread count missing");
     assert!(json.contains("\"rustc\""), "rustc version missing");
-    // Full matrix: 3 sizes x (4 engines + auto) x 2 protocols, plus the
+    // Full matrix: 3 sizes x (2 engines + auto) x 2 protocols, plus the
     // fixed-sample block at the heavy size (2 protocols x 3 engines),
     // the weighted block (3 weight shapes x (3 adaptive engines + 1
     // one-choice row)), the parallel-round block (3 protocols x
     // ({faithful, histogram, auto} + concurrent at 1/2/8 threads)) and
     // the serve-mode block (2 serial families + 1 concurrent row).
-    assert_eq!(json.matches("\"protocol\"").count(), 69);
+    assert_eq!(json.matches("\"protocol\"").count(), 57);
     // Every row is tagged with its scenario, records (schema v4)
     // whether it ever materialized the dense load vector, and carries
     // (schema v5) its in-run worker-thread count.
@@ -305,14 +305,7 @@ fn bench_json_smoke_writes_valid_json() {
         json.contains("\"threads\": 8"),
         "the concurrent engine must contribute multi-thread rows"
     );
-    for engine in [
-        "faithful",
-        "jump",
-        "level-batched",
-        "histogram",
-        "auto",
-        "concurrent",
-    ] {
+    for engine in ["faithful", "histogram", "auto", "concurrent"] {
         assert!(
             json.contains(&format!("\"engine\": \"{engine}\"")),
             "missing engine {engine}"
@@ -397,16 +390,25 @@ fn experiment_binaries_accept_engine_flag() {
     // --engine must parse and steer the run on a representative binary.
     let out = run(
         env!("CARGO_BIN_EXE_lemma42"),
-        &[
-            "--quick",
-            "--csv",
-            "--engine",
-            "level-batched",
-            "--reps",
-            "2",
-        ],
+        &["--quick", "--csv", "--engine", "histogram", "--reps", "2"],
     );
     let (h, rows) = parse_csv(&out);
     assert!(!rows.is_empty());
     assert!(h.iter().any(|c| c == "thr_psi/n^1.125"));
+}
+
+#[test]
+fn removed_engine_names_are_a_usage_error() {
+    // Engines that no longer exist fail argument parsing with the
+    // usage-error status and name the surviving engines.
+    let out = Command::new(env!("CARGO_BIN_EXE_lemma42"))
+        .args(["--quick", "--engine", "jump"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("faithful, histogram, concurrent or auto"),
+        "{err}"
+    );
 }

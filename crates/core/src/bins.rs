@@ -1,11 +1,8 @@
 //! Plain load vector: the canonical representation of an allocation
 //! state, `L^t = (L^t_1, …, L^t_n)` in the paper's notation.
 
-/// The load of every bin plus the running ball count.
-///
-/// This is the simple, always-correct structure; the throughput-oriented
-/// [`crate::partitioned::PartitionedBins`] maintains the same state with
-/// extra indexing and is property-tested against this one.
+/// The load of every bin plus the running ball count — the state every
+/// per-ball driver places into.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoadVector {
     loads: Vec<u32>,
@@ -89,8 +86,7 @@ impl LoadVector {
         self.max_load() - self.min_load()
     }
 
-    /// Number of bins with load strictly below `t` (linear scan; the
-    /// partitioned structure answers this in O(1)).
+    /// Number of bins with load strictly below `t` (linear scan).
     pub fn count_below(&self, t: u32) -> usize {
         self.loads.iter().filter(|&&l| l < t).count()
     }

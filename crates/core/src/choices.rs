@@ -146,7 +146,7 @@ mod tests {
     /// outcome.
     #[test]
     fn protocol_run_replays_exactly() {
-        for engine in [Engine::Faithful, Engine::Jump] {
+        for engine in Engine::ALL {
             let cfg = RunConfig::new(32, 500).with_engine(engine);
             let mut rec = RecordingRng::new(SplitMix64::new(13));
             let original = Threshold.allocate(&cfg, &mut rec, &mut NullObserver);
@@ -187,7 +187,7 @@ mod tests {
             inner: SplitMix64::new(7),
             ranges: 0,
         };
-        let mut bins = crate::partitioned::PartitionedBins::new(n);
+        let mut bins = crate::bins::LoadVector::new(n);
         let bound = Threshold::acceptance_bound(n, m);
         let mut total_samples = 0u64;
         for _ in 0..m {

@@ -4,9 +4,9 @@
 //! load are exchangeable, so the load vector carries no information
 //! beyond its histogram. The engine therefore collapses the bin
 //! dimension entirely — state is `counts[ℓ] = #bins with load ℓ` — and
-//! the per-round work drops from `O(n)` (the level-batched engine's
-//! open-bin list) to `O(#distinct loads)`, which the paper's smoothness
-//! results keep at `O(log n)`. On the heavy regimes of Lemma 4.2 and
+//! the per-round work drops from `O(n)` (a per-bin open list) to
+//! `O(#distinct loads)`, which the paper's smoothness results keep at
+//! `O(log n)`. On the heavy regimes of Lemma 4.2 and
 //! Corollary 3.5 (`m = n²` and beyond) the hot path becomes independent
 //! of `n`.
 //!
@@ -14,11 +14,12 @@
 //!
 //! For threshold-style rules (uniform over bins with load `< t`) a
 //! *round* throws all `left` remaining balls at the open bins frozen at
-//! round start — exactly the level-batched argument: in the faithful
-//! sample stream these are the next `left` hits on the round-start open
-//! set, hits beyond a bin's remaining capacity are rejections, and the
-//! rejected overflow re-enters the next round. The difference is where
-//! the hits land:
+//! round start: in the faithful sample stream these are the next `left`
+//! hits on the round-start open set (conditioned on acceptance, a
+//! uniform hit on that set is uniform over the still-open bins, which
+//! is the faithful law), hits beyond a bin's remaining capacity are
+//! rejections, and the rejected overflow re-enters the next round. The
+//! hits land in two steps:
 //!
 //! 1. the round's hits split over the occupancy *classes* with a chain
 //!    of conditional binomials (one draw per distinct load, not per
@@ -74,12 +75,12 @@
 //! the tail, exactly `d·m` / `m` for `greedy[d]` / `one-choice`.
 //! *Per-ball events*: `Observer::on_ball` never fires; stage traces fire
 //! exactly when the observer wants them (segments cap at stage
-//! boundaries, like the level-batched driver).
+//! boundaries).
 
-use crate::level_batched::{BatchStats, ThresholdSchedule};
 use crate::protocol::{Observer, Outcome, RunConfig};
+use crate::sampler::ThresholdSchedule;
 use crate::scenario::Scenario;
-use bib_rng::dist::{BinomialSampler, Distribution, GeometricSampler};
+use bib_rng::dist::{BinomialSampler, Distribution, GeometricSampler, Normal};
 use bib_rng::{Rng64, RngExt, SeedSequence, SplitMix64};
 
 /// Below this many remaining balls a batched round stops paying for its
@@ -110,11 +111,20 @@ const EXACT_HITS: u64 = 64;
 const SPLIT_NORMAL_VAR: f64 = 4.0;
 
 /// Exact-summation ceiling for the negative-binomial allocation-time
-/// draw of a round; larger rounds use the CLT limit. Lower than the
-/// level-batched engine's ceiling because this engine runs several
-/// small rounds per adaptive stage and their geometric sums would
-/// dominate the collapsed hot path.
+/// draw of a round; larger rounds use the CLT limit. Kept small because
+/// this engine runs several small rounds per adaptive stage and their
+/// geometric sums would dominate the collapsed hot path.
 const SAMPLES_EXACT_CUTOFF: u64 = 32;
+
+/// Sample accounting for one batched segment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BatchStats {
+    /// Total bin samples consumed (allocation time of the segment).
+    pub samples: u64,
+    /// Largest per-ball sample count *observed* — exact for tail balls,
+    /// a lower bound (1) for batched balls.
+    pub max_samples_per_ball: u64,
+}
 
 /// The occupancy histogram: `count(ℓ)` bins currently hold exactly `ℓ`
 /// balls. Loads only grow, so the live span `[min_load, max_load]` only
@@ -555,11 +565,41 @@ pub fn split_binomial<R: Rng64 + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
     (draw as u64).min(n)
 }
 
+/// Draws the total number of uniform bin samples needed to obtain
+/// `hits` hits in an accepting set of probability `p` — a sum of `hits`
+/// geometrics, i.e. `hits + NegativeBinomial(hits, p)` failures. Exact
+/// summation up to `exact_cutoff` hits; rounded CLT draw (mean
+/// `hits/p`, variance `hits·(1−p)/p²`) beyond, clamped to the support
+/// `≥ hits`. Shared with the weight-class engine.
+pub(crate) fn stream_samples_for_hits_bounded<R: Rng64 + ?Sized>(
+    hits: u64,
+    p: f64,
+    exact_cutoff: u64,
+    rng: &mut R,
+) -> u64 {
+    if hits == 0 {
+        return 0;
+    }
+    if p >= 1.0 {
+        return hits;
+    }
+    if hits <= exact_cutoff {
+        let g = GeometricSampler::new(p);
+        return (0..hits).map(|_| g.sample(rng)).sum();
+    }
+    let mean = hits as f64 / p;
+    let sd = (hits as f64 * (1.0 - p)).sqrt() / p;
+    let draw = Normal::new(mean, sd).sample(rng).round();
+    // f64 → u64 casts saturate, so a deep-left-tail draw clamps to 0
+    // and then to the support minimum.
+    (draw as u64).max(hits)
+}
+
 /// Total uniform-stream samples consumed to obtain `hits` hits on an
-/// accepting set of probability `p`: the level-batched engine's
-/// negative-binomial construction at this engine's exact-sum ceiling.
+/// accepting set of probability `p`, at this engine's exact-sum
+/// ceiling.
 fn round_samples<R: Rng64 + ?Sized>(hits: u64, p: f64, rng: &mut R) -> u64 {
-    crate::level_batched::stream_samples_for_hits_bounded(hits, p, SAMPLES_EXACT_CUTOFF, rng)
+    stream_samples_for_hits_bounded(hits, p, SAMPLES_EXACT_CUTOFF, rng)
 }
 
 /// Guaranteed stopping level for the hazard walks over a `Bin(h, 1/c)`
@@ -2286,6 +2326,32 @@ mod tests {
     }
 
     #[test]
+    fn place_below_respects_initial_loads() {
+        // Loads {5, 0, 5, 1} at t = 5: the two full bins must not move,
+        // and 9 balls exactly fill the other two.
+        let mut hist = OccupancyHistogram::new(4);
+        hist.promote(0, 2, 5);
+        hist.promote(0, 1, 1);
+        let mut rng = SplitMix64::new(2);
+        place_histogram_below(&mut hist, Some(5), 9, &mut rng);
+        hist.check_invariants();
+        assert_eq!(hist.count(5), 4);
+        assert_eq!(total_balls(&hist), 20);
+    }
+
+    #[test]
+    fn place_below_zero_count_is_noop() {
+        let mut hist = OccupancyHistogram::new(2);
+        hist.promote(0, 1, 1);
+        let before = hist.clone();
+        let mut rng = SplitMix64::new(3);
+        let stats = place_histogram_below(&mut hist, Some(9), 0, &mut rng);
+        assert_eq!(hist, before);
+        assert_eq!(stats.samples, 0);
+        assert_eq!(stats.max_samples_per_ball, 0);
+    }
+
+    #[test]
     fn place_below_mass_and_bound_across_scales() {
         for (n, count, t) in [
             (8u64, 700u64, 100u32),
@@ -2476,5 +2542,31 @@ mod tests {
         hist.check_invariants();
         assert_eq!(total_balls(&hist), n);
         assert!(stats.samples >= n);
+    }
+
+    #[test]
+    fn stream_samples_small_and_large_regimes_agree_on_mean() {
+        // p = 1/4 ⇒ mean samples per hit is 4. The small count sits at
+        // the exact-summation ceiling, the large one far above it.
+        let small_hits = SAMPLES_EXACT_CUTOFF;
+        let mut rng = SplitMix64::new(7);
+        let small: f64 = (0..200)
+            .map(|_| round_samples(small_hits, 0.25, &mut rng) as f64)
+            .sum::<f64>()
+            / 200.0;
+        let large: f64 = (0..200)
+            .map(|_| round_samples(100_000, 0.25, &mut rng) as f64)
+            .sum::<f64>()
+            / 200.0;
+        assert!(
+            (small / small_hits as f64 - 4.0).abs() < 0.2,
+            "small-regime mean {small}"
+        );
+        assert!(
+            (large / 100_000.0 - 4.0).abs() < 0.02,
+            "large-regime mean {large}"
+        );
+        assert_eq!(round_samples(0, 0.5, &mut rng), 0);
+        assert_eq!(round_samples(9, 1.0, &mut rng), 9);
     }
 }

@@ -18,18 +18,13 @@
 //! # Crate layout
 //!
 //! * [`bins`] — plain load vector and histogram.
-//! * [`partitioned`] — bins grouped by load with O(1) placement and O(1)
-//!   "count / pick a bin below a threshold" queries; the engine room of
-//!   the fast simulation path.
-//! * [`sampler`] — the per-ball retry engines (faithful per-sample loop
-//!   vs. geometric jump), distributionally identical.
-//! * [`level_batched`] — the third engine: whole constant-threshold
-//!   segments placed with binomial level splits, exact on final loads,
-//!   built for the `m = n²` regime.
-//! * [`histogram`] — the fourth engine: the bin dimension collapsed to
+//! * [`sampler`] — threshold schedules and the faithful per-sample retry
+//!   loop of the paper's pseudocode, the reference engine.
+//! * [`histogram`] — the fast engine: the bin dimension collapsed to
 //!   the occupancy histogram `counts[load]`, rounds costing
-//!   `O(#distinct loads)` independent of `n`; also accelerates
-//!   `one-choice` and `greedy[d]` through their CDF landing laws.
+//!   `O(#distinct loads)` independent of `n`, built for the `m = n²`
+//!   regime; also accelerates `one-choice` and `greedy[d]` through
+//!   their CDF landing laws.
 //! * [`potential`] — the quadratic Ψ and exponential Φ potentials and gap
 //!   metrics from Section 2.
 //! * [`protocol`] — the [`protocol::Protocol`] trait, run configuration,
@@ -59,9 +54,7 @@ pub mod choices;
 pub mod error;
 pub mod faults;
 pub mod histogram;
-pub mod level_batched;
 pub mod loads;
-pub mod partitioned;
 pub mod poissonized;
 pub mod potential;
 pub mod protocol;
@@ -79,9 +72,7 @@ pub mod prelude {
     pub use crate::error::ProtocolError;
     pub use crate::faults::{BinState, FaultEvent, FaultKind, FaultPlan};
     pub use crate::histogram::{HistogramSchedule, OccupancyHistogram};
-    pub use crate::level_batched::ThresholdSchedule;
     pub use crate::loads::Loads;
-    pub use crate::partitioned::PartitionedBins;
     pub use crate::potential::{exponential_potential, gap, quadratic_potential};
     pub use crate::protocol::{
         DynProtocol, Engine, NullObserver, Observer, Outcome, Protocol, RunConfig,
@@ -91,6 +82,7 @@ pub mod prelude {
         TieBreak,
     };
     pub use crate::run::{run_protocol, run_replicates};
+    pub use crate::sampler::ThresholdSchedule;
     pub use crate::scenario::{scenario_protocol, Family, Scenario, WeightedSchedule, Workload};
     pub use crate::stream::{
         serve, LatencyTail, RetryPolicy, StreamProtocol, StreamReport, StreamSpec, TickStats,

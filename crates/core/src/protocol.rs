@@ -2,8 +2,8 @@
 //! observers, and the [`Protocol`] trait every allocation scheme
 //! implements.
 
+use crate::bins::LoadVector;
 use crate::loads::Loads;
-use crate::partitioned::PartitionedBins;
 use crate::potential::{
     gap, ln_exponential_potential, ln_exponential_potential_classes, quadratic_potential,
     quadratic_potential_classes, EPSILON,
@@ -11,22 +11,12 @@ use crate::potential::{
 use crate::scenario::Scenario;
 use bib_rng::Rng64;
 
-/// Which simulation engine a threshold-style protocol uses.
+/// Which simulation engine a protocol uses.
 ///
-/// `Faithful` and `Jump` produce *identically distributed*
-/// `(bin, sample-count)` pairs per ball; see [`crate::sampler`] for the
-/// argument and the test suite for the statistical evidence. `Faithful`
-/// is the paper's literal process; `Jump` collapses each retry run into
-/// one geometric draw so that heavily loaded regimes (`m = n²`,
-/// Lemma 4.2) stay tractable.
-///
-/// `LevelBatched` goes one step further (see [`crate::level_batched`]):
-/// it walks constant-threshold segments of the run and splits each
-/// accepting group's intake with binomial draws instead of placing balls
-/// one at a time. It is distributionally *exact on the final load
-/// vector* but does not produce per-ball traces: `Observer::on_ball`
-/// never fires, `total_samples` is a CLT-faithful draw rather than a
-/// per-ball sum, and `max_samples_per_ball` is only a lower-bound proxy.
+/// `Faithful` is the paper's literal process and the reference every
+/// other engine is validated against: each ball samples bins one at a
+/// time until one accepts (see [`crate::sampler`]), with full per-ball
+/// observer traffic.
 ///
 /// `Histogram` collapses the bin dimension entirely (see
 /// [`crate::histogram`]): state is the occupancy histogram
@@ -42,7 +32,11 @@ use bib_rng::Rng64;
 /// engine in `bib-parallel` — the round-synchronous parallel family,
 /// where each round's contacts collapse to a multiplicity profile
 /// drawn with the same occupancy machinery; `left[d]`, `memory` and
-/// `(1+β)` still ignore the engine entirely.
+/// `(1+β)` still ignore the engine entirely. It reaches the heavily
+/// loaded regimes (`m = n²`, Lemma 4.2) but produces no per-ball
+/// trace: `Observer::on_ball` never fires, `total_samples` is a
+/// CLT-faithful draw rather than a per-ball sum, and
+/// `max_samples_per_ball` is only a lower-bound proxy.
 ///
 /// `Concurrent` is the multi-thread single-run engine of the parallel
 /// round family (`bib-parallel::protocols::concurrent`): bins live in
@@ -65,12 +59,6 @@ pub enum Engine {
     /// Faithful sample-by-sample retry loop.
     #[default]
     Faithful,
-    /// Geometric-jump equivalent: draw the number of wasted samples in
-    /// one shot, then pick an accepting bin uniformly.
-    Jump,
-    /// Level-batched group placement: binomial intake splits per load
-    /// level, exact on final loads, no per-ball trace.
-    LevelBatched,
     /// Occupancy-histogram engine: the bin dimension is collapsed to
     /// `counts[load]`; round cost is `O(#distinct loads)`, independent
     /// of `n`. Final loads reconstructed by seeded random assignment.
@@ -93,19 +81,12 @@ impl Engine {
     /// identical to `Faithful` there, and it aliases `Auto` elsewhere),
     /// so iterating it alongside the serial engines would visit no new
     /// path on a single thread.
-    pub const ALL: [Engine; 4] = [
-        Engine::Faithful,
-        Engine::Jump,
-        Engine::LevelBatched,
-        Engine::Histogram,
-    ];
+    pub const ALL: [Engine; 2] = [Engine::Faithful, Engine::Histogram];
 
     /// Canonical CLI / JSON name.
     pub fn name(&self) -> &'static str {
         match self {
             Engine::Faithful => "faithful",
-            Engine::Jump => "jump",
-            Engine::LevelBatched => "level-batched",
             Engine::Histogram => "histogram",
             Engine::Concurrent => "concurrent",
             Engine::Auto => "auto",
@@ -162,14 +143,11 @@ impl std::str::FromStr for Engine {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "faithful" | "naive" => Ok(Engine::Faithful),
-            "jump" => Ok(Engine::Jump),
-            "level-batched" | "batched" | "level_batched" => Ok(Engine::LevelBatched),
             "histogram" | "hist" => Ok(Engine::Histogram),
             "concurrent" | "conc" => Ok(Engine::Concurrent),
             "auto" => Ok(Engine::Auto),
             other => Err(format!(
-                "unknown engine {other:?}; expected faithful, jump, level-batched, histogram, \
-                 concurrent or auto"
+                "unknown engine {other:?}; expected faithful, histogram, concurrent or auto"
             )),
         }
     }
@@ -182,14 +160,12 @@ pub struct RunConfig {
     pub n: usize,
     /// Number of balls `m`.
     pub m: u64,
-    /// Simulation engine. Threshold-style protocols support all four
-    /// serial concrete engines; `one-choice`/`greedy[d]`, the weighted
-    /// family and the parallel round family each dispatch between their
-    /// faithful path and their histogram fast path (each family
-    /// documents how the remaining engine names alias onto those two);
-    /// the parallel round family additionally has the multi-thread
-    /// [`Engine::Concurrent`] path; `left[d]`, `memory` and `(1+β)`
-    /// ignore the engine.
+    /// Simulation engine. Threshold-style protocols, `one-choice`/
+    /// `greedy[d]`, the weighted family and the parallel round family
+    /// each dispatch between their faithful path and their histogram
+    /// fast path; the parallel round family additionally has the
+    /// multi-thread [`Engine::Concurrent`] path; `left[d]`, `memory`
+    /// and `(1+β)` ignore the engine.
     pub engine: Engine,
     /// Worker threads *within one run* (≥ 1). Only the parallel round
     /// family's [`Engine::Concurrent`] path uses it; every serial
@@ -220,7 +196,7 @@ impl RunConfig {
         }
     }
 
-    /// Switches to the geometric-jump engine.
+    /// Selects the simulation engine (see [`Engine`]).
     pub fn with_engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
         self
@@ -251,10 +227,10 @@ impl RunConfig {
 ///
 /// All methods have no-op defaults. `on_stage_end` fires after every
 /// batch of `n` placed balls (the paper's *stages*), and once more at the
-/// end if `m` is not a multiple of `n`. Under [`Engine::LevelBatched`]
+/// end if `m` is not a multiple of `n`. Under [`Engine::Histogram`]
 /// `on_ball` never fires (there is no per-ball event stream), and
 /// `on_stage_end` fires only when [`Observer::wants_stage_ends`] returns
-/// `true` — the batched driver then caps its segments at stage
+/// `true` — the histogram driver then caps its segments at stage
 /// boundaries so the trace stays exact.
 pub trait Observer {
     /// Called after each ball is placed: its 1-based index, the receiving
@@ -265,7 +241,7 @@ pub trait Observer {
     /// and the number of balls placed so far.
     fn on_stage_end(&mut self, _tau: u64, _loads: &[u32], _total: u64) {}
 
-    /// Whether this observer consumes `on_stage_end`. The level-batched
+    /// Whether this observer consumes `on_stage_end`. The histogram
     /// driver asks once per run; returning `false` (as [`NullObserver`]
     /// does) lets it batch across stage boundaries.
     fn wants_stage_ends(&self) -> bool {
@@ -715,7 +691,7 @@ impl_protocol_for_dyn!(
 /// sample accounting, and assembles the [`Outcome`].
 ///
 /// `place_one(bins, ball_index, rng) -> (bin, samples)` must place the
-/// ball itself (via [`PartitionedBins::place`]) before returning.
+/// ball itself (via [`LoadVector::place`]) before returning.
 pub fn drive_sequential<R, O, F>(
     name: String,
     cfg: &RunConfig,
@@ -726,9 +702,9 @@ pub fn drive_sequential<R, O, F>(
 where
     R: Rng64 + ?Sized,
     O: Observer + ?Sized,
-    F: FnMut(&mut PartitionedBins, u64, &mut R) -> (usize, u64),
+    F: FnMut(&mut LoadVector, u64, &mut R) -> (usize, u64),
 {
-    let mut bins = PartitionedBins::new(cfg.n);
+    let mut bins = LoadVector::new(cfg.n);
     let mut total_samples = 0u64;
     let mut max_samples = 0u64;
     let n64 = cfg.n as u64;
@@ -756,7 +732,7 @@ where
         m: cfg.m,
         total_samples,
         max_samples_per_ball: max_samples,
-        loads: bins.to_load_vector().into_loads().into(),
+        loads: bins.into_loads().into(),
         scenario: Scenario::default(),
     }
 }
@@ -799,6 +775,27 @@ mod tests {
         let b = Trivial.allocate(&cfg, &mut r2, &mut NullObserver);
         assert_eq!(a, b);
         assert_eq!(boxed.name(), "trivial");
+    }
+
+    #[test]
+    fn removed_engine_names_are_a_parse_error() {
+        for name in [
+            "jump",
+            "level-batched",
+            "batched",
+            concat!("level", "_batched"),
+        ] {
+            let err = name.parse::<Engine>().unwrap_err();
+            for survivor in ["faithful", "histogram", "concurrent", "auto"] {
+                assert!(err.contains(survivor), "{name}: {err}");
+            }
+        }
+        for engine in Engine::ALL
+            .into_iter()
+            .chain([Engine::Concurrent, Engine::Auto])
+        {
+            assert_eq!(engine.name().parse::<Engine>(), Ok(engine));
+        }
     }
 
     #[test]

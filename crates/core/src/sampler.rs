@@ -1,65 +1,46 @@
-//! The two retry engines for threshold-style protocols.
+//! Threshold schedules and the faithful retry loop.
 //!
 //! A ball under `threshold`/`adaptive` repeatedly samples uniform bins
-//! until it hits one whose load is below an integer threshold `t`.
-//! While the ball is retrying, the load vector does not change, so with
-//! `k` accepting bins out of `n`:
-//!
-//! * the number of samples consumed is `Geometric(k/n)` (counting the
-//!   successful one), and
-//! * the receiving bin is uniform among the `k` accepting bins,
-//!   independent of the sample count.
-//!
-//! The **naive** engine plays this out sample by sample — exactly the
-//! paper's pseudocode. The **jump** engine draws the geometric count and
-//! the accepting bin directly. The two induce identical distributions on
-//! `(receiving bin, samples)`; unit tests check degenerate cases exactly
-//! and the statistical suite compares full runs.
+//! until it hits one whose load is below an integer bound `t` — the
+//! paper's pseudocode (Figures 1 and 2), played out sample by sample by
+//! [`place_below`]. Every such protocol describes its bound through a
+//! [`ThresholdSchedule`], and [`allocate_scheduled`] runs it on one of
+//! its two concrete paths: this retry loop, or the occupancy-histogram
+//! engine ([`crate::histogram::drive_histogram`]).
 
-use crate::partitioned::PartitionedBins;
-use crate::protocol::Engine;
-use bib_rng::dist::{Distribution, GeometricSampler};
+use crate::bins::LoadVector;
+use crate::protocol::{drive_sequential, Engine, Observer, Outcome, Protocol, RunConfig};
 use bib_rng::{Rng64, RngExt};
 
-/// Places one ball into a uniformly random bin with load `< t`, returning
-/// `(bin, samples_used)`.
-///
-/// Panics (via [`PartitionedBins::choose_below`] or an explicit check) if
-/// no bin accepts — neither paper protocol can reach that state, and
-/// reaching it indicates a threshold bug.
-///
-/// The batched engines ([`Engine::LevelBatched`], [`Engine::Histogram`])
-/// have no *per-ball* placement of their own (their whole point is to
-/// avoid one); a single ball under those engines — and under an
-/// unresolved [`Engine::Auto`] — is placed by the distributionally
-/// identical jump rule.
-pub fn place_below<R: Rng64 + ?Sized>(
-    bins: &mut PartitionedBins,
-    t: u32,
-    engine: Engine,
-    rng: &mut R,
-) -> (usize, u64) {
-    match engine {
-        Engine::Faithful => place_below_naive(bins, t, rng),
-        Engine::Jump
-        | Engine::LevelBatched
-        | Engine::Histogram
-        | Engine::Concurrent
-        | Engine::Auto => place_below_jump(bins, t, rng),
-    }
+/// A protocol whose acceptance bound is a function of the ball index
+/// alone, constant over contiguous segments and never decreasing from
+/// one segment to the next.
+pub trait ThresholdSchedule {
+    /// Acceptance bound for ball `ball` (1-based): a bin accepts iff
+    /// `load < bound`.
+    fn bound(&self, cfg: &RunConfig, ball: u64) -> u32;
+
+    /// Inclusive index of the last ball sharing `ball`'s bound
+    /// (`ball ≤ segment_end ≤ cfg.m`).
+    fn segment_end(&self, cfg: &RunConfig, ball: u64) -> u64;
 }
 
-/// Faithful retry loop (Figures 1 and 2 of the paper).
-pub fn place_below_naive<R: Rng64 + ?Sized>(
-    bins: &mut PartitionedBins,
-    t: u32,
-    rng: &mut R,
-) -> (usize, u64) {
+/// Places one ball into a uniformly random bin with load `< t` by
+/// sampling bins until one accepts (Figures 1 and 2 of the paper),
+/// returning `(bin, samples_used)`.
+///
+/// Panics if `bins.total() ≥ n·t`. Below that, some bin has load `< t`
+/// by pigeonhole, so a passing check can never hang the loop. Under a
+/// non-decreasing schedule started from empty bins every load stays
+/// `≤ t`, so the check is exact: it fires iff no bin accepts — a state
+/// neither paper protocol can reach, and reaching it indicates a
+/// threshold bug.
+pub fn place_below<R: Rng64 + ?Sized>(bins: &mut LoadVector, t: u32, rng: &mut R) -> (usize, u64) {
+    let n = bins.n();
     assert!(
-        bins.count_below(t) > 0,
+        u128::from(bins.total()) < n as u128 * u128::from(t),
         "place_below: no bin has load < {t}; the protocol threshold is wrong"
     );
-    let n = bins.n();
     let mut samples = 0u64;
     loop {
         samples += 1;
@@ -71,165 +52,211 @@ pub fn place_below_naive<R: Rng64 + ?Sized>(
     }
 }
 
-/// Geometric-jump equivalent: one `Geometric(k/n)` draw for the sample
-/// count, one uniform pick among accepting bins.
-pub fn place_below_jump<R: Rng64 + ?Sized>(
-    bins: &mut PartitionedBins,
-    t: u32,
+/// The shared `allocate` body of every threshold-scheduled protocol:
+/// resolves [`Engine::Auto`] (and `Concurrent`, which has no
+/// sequential-family path) through [`Engine::resolve_auto`], then runs
+/// the histogram driver or the faithful retry loop.
+///
+/// Panics if the schedule's bound decreases from one segment to the
+/// next: [`place_below`]'s liveness check is exact only under
+/// non-decreasing bounds.
+pub fn allocate_scheduled<P, R, O>(
+    protocol: &P,
+    cfg: &RunConfig,
     rng: &mut R,
-) -> (usize, u64) {
-    let k = bins.count_below(t);
-    assert!(
-        k > 0,
-        "place_below: no bin has load < {t}; the protocol threshold is wrong"
-    );
-    let n = bins.n();
-    let samples = if k == n {
-        1
-    } else {
-        GeometricSampler::new(k as f64 / n as f64).sample(rng)
+    obs: &mut O,
+) -> Outcome
+where
+    P: Protocol + ThresholdSchedule,
+    R: Rng64 + ?Sized,
+    O: Observer + ?Sized,
+{
+    let engine = match cfg.engine {
+        Engine::Auto | Engine::Concurrent => Engine::resolve_auto(cfg.n, cfg.m),
+        engine => engine,
     };
-    let j = bins.choose_below(t, rng);
-    bins.place(j);
-    (j, samples)
+    match engine {
+        Engine::Histogram => {
+            crate::histogram::drive_histogram(protocol.name(), cfg, rng, obs, protocol)
+        }
+        _ => {
+            // Memoize the bound per constant-threshold segment: the
+            // division inside `bound` is measurable per-ball cost on
+            // the retry hot loop.
+            let mut seg_end = 0u64;
+            let mut t = 0u32;
+            drive_sequential(protocol.name(), cfg, rng, obs, move |bins, ball, rng| {
+                if ball > seg_end {
+                    let next = protocol.bound(cfg, ball);
+                    assert!(
+                        next >= t,
+                        "threshold schedule decreased from {t} to {next} at ball {ball}"
+                    );
+                    t = next;
+                    seg_end = protocol.segment_end(cfg, ball);
+                }
+                place_below(bins, t, rng)
+            })
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::NullObserver;
     use bib_rng::SplitMix64;
 
     #[test]
     fn all_bins_open_costs_one_sample() {
-        for engine in [Engine::Faithful, Engine::Jump] {
-            let mut bins = PartitionedBins::new(10);
-            let mut rng = SplitMix64::new(1);
-            let (bin, samples) = place_below(&mut bins, 1, engine, &mut rng);
-            assert_eq!(samples, 1, "{engine:?}");
-            assert!(bin < 10);
-            assert_eq!(bins.total(), 1);
-        }
+        let mut bins = LoadVector::new(10);
+        let mut rng = SplitMix64::new(1);
+        let (bin, samples) = place_below(&mut bins, 1, &mut rng);
+        assert_eq!(samples, 1);
+        assert!(bin < 10);
+        assert_eq!(bins.total(), 1);
     }
 
     #[test]
     fn single_open_bin_is_always_found() {
-        for engine in [Engine::Faithful, Engine::Jump] {
-            // Bins 0..9 at load 1, bin 9 empty; threshold 1 ⇒ only bin 9.
-            let mut loads = vec![1u32; 10];
-            loads[9] = 0;
-            let mut bins = PartitionedBins::from_loads(loads);
-            let mut rng = SplitMix64::new(2);
-            let (bin, samples) = place_below(&mut bins, 1, engine, &mut rng);
-            assert_eq!(bin, 9, "{engine:?}");
-            assert!(samples >= 1);
-        }
+        // Bins 0..9 at load 1, bin 9 empty; threshold 1 ⇒ only bin 9.
+        let mut loads = vec![1u32; 10];
+        loads[9] = 0;
+        let mut bins = LoadVector::from_loads(loads);
+        let mut rng = SplitMix64::new(2);
+        let (bin, samples) = place_below(&mut bins, 1, &mut rng);
+        assert_eq!(bin, 9);
+        assert!(samples >= 1);
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "the protocol threshold is wrong")]
     fn naive_engine_rejects_impossible_threshold() {
-        let mut bins = PartitionedBins::from_loads(vec![2, 2]);
+        let mut bins = LoadVector::from_loads(vec![2, 2]);
         let mut rng = SplitMix64::new(3);
-        place_below_naive(&mut bins, 1, &mut rng);
+        place_below(&mut bins, 1, &mut rng);
     }
 
+    /// Filling every bin up to the bound is fine; one ball more trips
+    /// the liveness check instead of spinning forever.
     #[test]
-    #[should_panic]
-    fn jump_engine_rejects_impossible_threshold() {
-        let mut bins = PartitionedBins::from_loads(vec![2, 2]);
-        let mut rng = SplitMix64::new(4);
-        place_below_jump(&mut bins, 1, &mut rng);
+    #[should_panic(expected = "the protocol threshold is wrong")]
+    fn liveness_check_fires_once_every_bin_is_full() {
+        let mut bins = LoadVector::new(4);
+        let mut rng = SplitMix64::new(5);
+        for _ in 0..4 * 3 {
+            place_below(&mut bins, 3, &mut rng);
+        }
+        assert_eq!(bins.as_slice(), &[3, 3, 3, 3]);
+        place_below(&mut bins, 3, &mut rng);
     }
 
-    /// With k of n bins open, the sample count must average ≈ n/k for
-    /// both engines and the chosen bin must be uniform among the open
-    /// ones.
+    /// With k of n bins open, the sample count must average ≈ n/k and
+    /// the chosen bin must be uniform among the open ones.
     #[test]
     #[allow(clippy::needless_range_loop)]
-    fn engines_agree_statistically() {
+    fn retry_law_holds_statistically() {
         let n = 8usize;
         let open = 2usize; // bins 6, 7 open at threshold 1
         let template: Vec<u32> = (0..n).map(|i| if i < n - open { 1 } else { 0 }).collect();
         let reps = 40_000;
-        for engine in [Engine::Faithful, Engine::Jump] {
-            let mut rng = SplitMix64::new(50 + engine as u64);
-            let mut total_samples = 0u64;
-            let mut bin_counts = vec![0u64; n];
-            for _ in 0..reps {
-                let mut bins = PartitionedBins::from_loads(template.clone());
-                let (bin, samples) = place_below(&mut bins, 1, engine, &mut rng);
-                total_samples += samples;
-                bin_counts[bin] += 1;
-            }
-            let mean = total_samples as f64 / reps as f64;
-            let expect = n as f64 / open as f64; // 4.0
-            assert!(
-                (mean - expect).abs() < 0.1,
-                "{engine:?}: mean samples {mean} vs {expect}"
-            );
-            for b in 0..n - open {
-                assert_eq!(bin_counts[b], 0, "{engine:?}: closed bin {b} chosen");
-            }
-            let half = reps as u64 / 2;
-            for b in n - open..n {
-                let c = bin_counts[b];
-                assert!(
-                    c > half - 1500 && c < half + 1500,
-                    "{engine:?}: bin {b} count {c}"
-                );
-            }
+        let mut rng = SplitMix64::new(50);
+        let mut total_samples = 0u64;
+        let mut bin_counts = vec![0u64; n];
+        for _ in 0..reps {
+            let mut bins = LoadVector::from_loads(template.clone());
+            let (bin, samples) = place_below(&mut bins, 1, &mut rng);
+            total_samples += samples;
+            bin_counts[bin] += 1;
+        }
+        let mean = total_samples as f64 / reps as f64;
+        let expect = n as f64 / open as f64; // 4.0
+        assert!(
+            (mean - expect).abs() < 0.1,
+            "mean samples {mean} vs {expect}"
+        );
+        for b in 0..n - open {
+            assert_eq!(bin_counts[b], 0, "closed bin {b} chosen");
+        }
+        let half = reps as u64 / 2;
+        for b in n - open..n {
+            let c = bin_counts[b];
+            assert!(c > half - 1500 && c < half + 1500, "bin {b} count {c}");
         }
     }
 
-    /// Robustness difference between the engines under *degenerate*
-    /// randomness: with an adversarially constant bit source, the jump
-    /// engine still terminates (its geometric draw and open-bin pick are
-    /// single bounded operations), whereas the naive loop's liveness
-    /// genuinely depends on the uniformity assumption of the paper's
-    /// model. We pin down the jump engine's robustness here.
-    #[test]
-    fn jump_engine_terminates_on_constant_rng() {
-        struct ConstRng(u64);
-        impl bib_rng::Rng64 for ConstRng {
-            fn next_u64(&mut self) -> u64 {
-                self.0
-            }
-        }
-        let mut rng = ConstRng(0x1234_5678_9ABC_DEF0);
-        let mut bins = PartitionedBins::from_loads(vec![1, 1, 0, 1]);
-        let (bin, samples) = place_below_jump(&mut bins, 1, &mut rng);
-        assert_eq!(bin, 2, "only open bin must be chosen");
-        assert!(samples >= 1);
-        assert_eq!(bins.total(), 4);
-    }
-
-    /// Sample-count distribution match: compare engine histograms cell by
-    /// cell (both must be Geometric(k/n)).
+    /// The sample count is `Geometric(k/n)`: compare its histogram cell
+    /// by cell with the exact law (n = 4, k = 1).
     #[test]
     fn sample_count_distributions_match() {
-        let template = vec![1u32, 1, 1, 0]; // n = 4, k = 1 open
-        let reps = 30_000;
-        let mut hists = Vec::new();
-        for engine in [Engine::Faithful, Engine::Jump] {
-            let mut rng = SplitMix64::new(60 + engine as u64);
-            let mut hist = vec![0u64; 12];
-            for _ in 0..reps {
-                let mut bins = PartitionedBins::from_loads(template.clone());
-                let (_, samples) = place_below(&mut bins, 1, engine, &mut rng);
-                let idx = ((samples - 1) as usize).min(hist.len() - 1);
-                hist[idx] += 1;
-            }
-            hists.push(hist);
+        let template = vec![1u32, 1, 1, 0];
+        let reps = 30_000u64;
+        let mut rng = SplitMix64::new(60);
+        let mut hist = [0u64; 12];
+        for _ in 0..reps {
+            let mut bins = LoadVector::from_loads(template.clone());
+            let (_, samples) = place_below(&mut bins, 1, &mut rng);
+            let idx = ((samples - 1) as usize).min(hist.len() - 1);
+            hist[idx] += 1;
         }
-        // Chi-square-ish comparison of the two histograms.
-        for (cell, (&a, &b)) in hists[0].iter().zip(&hists[1]).enumerate() {
-            let (a, b) = (a as f64, b as f64);
-            if a + b < 50.0 {
+        let last = hist.len() - 1;
+        for (cell, &observed) in hist.iter().enumerate() {
+            // P[samples = cell + 1] = (3/4)^cell · 1/4; the last cell
+            // pools the tail P[samples > last] = (3/4)^last.
+            let p = if cell == last {
+                0.75f64.powi(cell as i32)
+            } else {
+                0.75f64.powi(cell as i32) * 0.25
+            };
+            let expected = p * reps as f64;
+            if expected < 50.0 {
                 continue;
             }
-            let diff = (a - b).abs();
-            let sigma = (a + b).sqrt();
-            assert!(diff < 6.0 * sigma, "cell {cell}: {a} vs {b}");
+            let diff = (observed as f64 - expected).abs();
+            assert!(
+                diff < 6.0 * expected.sqrt(),
+                "cell {cell}: {observed} vs {expected}"
+            );
         }
+    }
+
+    /// A schedule whose bound drops after the first segment.
+    struct Shrinking;
+
+    impl ThresholdSchedule for Shrinking {
+        fn bound(&self, _cfg: &RunConfig, ball: u64) -> u32 {
+            if ball <= 2 {
+                3
+            } else {
+                1
+            }
+        }
+        fn segment_end(&self, cfg: &RunConfig, ball: u64) -> u64 {
+            if ball <= 2 {
+                2
+            } else {
+                cfg.m
+            }
+        }
+    }
+
+    impl Protocol for Shrinking {
+        fn name(&self) -> String {
+            "shrinking".into()
+        }
+        fn allocate<R, O>(&self, cfg: &RunConfig, rng: &mut R, obs: &mut O) -> Outcome
+        where
+            R: Rng64 + ?Sized,
+            O: Observer + ?Sized,
+        {
+            allocate_scheduled(self, cfg, rng, obs)
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "threshold schedule decreased from 3 to 1")]
+    fn decreasing_schedule_is_rejected() {
+        let cfg = RunConfig::new(4, 4);
+        Shrinking.allocate(&cfg, &mut SplitMix64::new(7), &mut NullObserver);
     }
 }

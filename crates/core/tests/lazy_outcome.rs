@@ -115,18 +115,16 @@ fn histogram_statistics_match_dense_recomputation() {
 
 #[test]
 fn sequential_engines_agree_between_histogram_and_dense_stats() {
-    // Dense-born outcomes (Faithful / Jump / LevelBatched) go the other
-    // way: the histogram view is derived from the vector, and the class
+    // Dense-born outcomes (the faithful engine) go the other way: the
+    // histogram view is derived from the vector, and the class
     // statistics must match the dense ones there too.
-    for engine in [Engine::Faithful, Engine::Jump, Engine::LevelBatched] {
-        let cfg = RunConfig::new(48, 48 * 20).with_engine(engine);
-        for proto in protocols() {
-            let out = run_protocol(proto.as_ref(), &cfg, 31);
-            let tag = format!("{} {engine:?}", proto.dyn_name());
-            assert!(out.loads.is_materialized(), "{tag}: dense-born");
-            let dense = out.loads.to_vec();
-            assert_stats_match_dense(&out, &dense, &tag);
-        }
+    let cfg = RunConfig::new(48, 48 * 20).with_engine(Engine::Faithful);
+    for proto in protocols() {
+        let out = run_protocol(proto.as_ref(), &cfg, 31);
+        let tag = format!("{} faithful", proto.dyn_name());
+        assert!(out.loads.is_materialized(), "{tag}: dense-born");
+        let dense = out.loads.to_vec();
+        assert_stats_match_dense(&out, &dense, &tag);
     }
 }
 

@@ -134,6 +134,18 @@ fn alias_table_pmf_accessor_is_normalised() {
 // Engine layer: weight-class histogram engine vs the faithful driver.
 // --------------------------------------------------------------------
 
+/// Offset of an engine's replicate seeds, in units of 10⁶. Pinned per
+/// engine (not derived from the enum's discriminant) so that the
+/// ensembles — and the p-values asserted on them — stay put when
+/// `Engine`'s variant list changes.
+fn seed_space(engine: Engine) -> u64 {
+    match engine {
+        Engine::Faithful => 0,
+        Engine::Histogram => 3,
+        other => panic!("no seed space for {other:?}"),
+    }
+}
+
 /// Histograms a per-outcome statistic over replicate ensembles of the
 /// faithful and histogram engines (distinct seed spaces per engine:
 /// the comparison is distributional, not stream-coupled).
@@ -154,7 +166,7 @@ where
         let cfg = RunConfig::new(n, m).with_engine(engine);
         let mut h = vec![0u64; cells];
         for rep in 0..reps {
-            let seed = rep + engine as u64 * 1_000_000;
+            let seed = rep + seed_space(engine) * 1_000_000;
             let out = run_protocol(proto, &cfg, seed);
             out.validate();
             let idx = stat(&out).min(cells - 1);

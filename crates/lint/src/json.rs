@@ -222,15 +222,7 @@ const ROW_NUMBERS: &[&str] = &[
 ];
 const ROW_BOOLS: &[&str] = &["loads_materialized"];
 const SCENARIOS: &[&str] = &["uniform", "weighted", "parallel", "stream"];
-const ENGINES: &[&str] = &[
-    "faithful",
-    "jump",
-    "level-batched",
-    "histogram",
-    "concurrent",
-    "auto",
-    "stream",
-];
+const ENGINES: &[&str] = &["faithful", "histogram", "concurrent", "auto", "stream"];
 
 /// Validates a committed `BENCH_engines.json` document. Returns the
 /// list of problems (empty = valid).
@@ -591,6 +583,24 @@ mod tests {
         assert!(check_bench(&best_above_mean)
             .iter()
             .any(|e| e.contains("exceeds wall_ms_mean")));
+    }
+
+    #[test]
+    fn rows_on_removed_engines_are_rejected() {
+        // A stale row from an engine that no longer exists must fail
+        // the check rather than pass as an unknown-but-valid label.
+        for engine in ["jump", "level-batched"] {
+            let stale = valid_doc().replace(
+                "\"engine\": \"concurrent\",\n     \"n\": 8192",
+                &format!("\"engine\": \"{engine}\",\n     \"n\": 8192"),
+            );
+            assert_ne!(stale, valid_doc());
+            let errs = check_bench(&stale);
+            assert!(
+                errs.iter().any(|e| e.contains(&format!("`{engine}`"))),
+                "{engine}: {errs:?}"
+            );
+        }
     }
 
     #[test]

@@ -64,8 +64,8 @@ impl Protocol for Collision {
     /// cap (256) is hit, which indicates a bug.
     ///
     /// The engine in `cfg` resolves by the parallel family's fixed rule
-    /// (see [`super`]): `Faithful`/`Jump` run the per-contact rounds,
-    /// `Histogram`/`LevelBatched` the round-occupancy engine,
+    /// (see [`super`]): `Faithful` runs the per-contact rounds,
+    /// `Histogram` the round-occupancy engine,
     /// `Concurrent` the sharded multi-thread engine
     /// ([`super::concurrent`]), `Auto` the measured cutoff
     /// [`Engine::resolve_auto`] (promoted to `Concurrent` when

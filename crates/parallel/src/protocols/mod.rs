@@ -16,8 +16,8 @@
 //!
 //! Each protocol has **three execution paths**, selected through the
 //! engine in `RunConfig` (the family's resolution rule lives in
-//! [`round_occupancy`](self): `Faithful`/`Jump` → per-contact rounds,
-//! `Histogram`/`LevelBatched` → round-occupancy, `Concurrent` →
+//! [`round_occupancy`](self): `Faithful` → per-contact rounds,
+//! `Histogram` → round-occupancy, `Concurrent` →
 //! sharded multi-thread, `Auto` → `Engine::resolve_auto`, promoted to
 //! `Concurrent` when `RunConfig::threads > 1`): the *faithful*
 //! per-contact rounds of the published processes; the *round-occupancy

@@ -31,11 +31,9 @@
 //!
 //! The parallel family has exactly three concrete paths, so the engine
 //! request in `RunConfig` resolves by a fixed documented rule
-//! ([`resolve_round_engine`]): `Faithful` and `Jump` run the faithful
-//! per-contact rounds (there is no geometric-jump shortcut for a
-//! synchronous round), `Histogram` and `LevelBatched` run the
-//! round-occupancy engine (the round engine *is* the family's batched
-//! path), `Concurrent` runs the sharded multi-thread engine
+//! ([`resolve_round_engine`]): `Faithful` runs the faithful
+//! per-contact rounds, `Histogram` runs the round-occupancy engine,
+//! `Concurrent` runs the sharded multi-thread engine
 //! ([`super::concurrent`]), and `Auto` resolves through
 //! [`Engine::resolve_auto`] — except that an explicit `--threads`
 //! request above one promotes `Auto` to `Concurrent` (a multi-thread
@@ -60,15 +58,12 @@ use bib_rng::{Rng64, RngExt};
 const EXACT_GROUP: u64 = 8;
 
 /// Resolves the engine request for a round protocol: the family's fixed
-/// three-path rule (see the module docs). Never returns `Auto`, `Jump`
-/// or `LevelBatched`.
+/// three-path rule (see the module docs). Never returns `Auto`.
 pub(crate) fn resolve_round_engine(engine: Engine, n: usize, m: u64, threads: usize) -> Engine {
     match engine {
         Engine::Auto if threads > 1 => Engine::Concurrent,
         Engine::Auto => Engine::resolve_auto(n, m),
-        Engine::Faithful | Engine::Jump => Engine::Faithful,
-        Engine::Histogram | Engine::LevelBatched => Engine::Histogram,
-        Engine::Concurrent => Engine::Concurrent,
+        engine => engine,
     }
 }
 
@@ -222,22 +217,14 @@ mod tests {
 
     #[test]
     fn resolve_covers_every_request() {
-        // Aliases are fixed and documented; Auto resolves by size, but
-        // an explicit multi-thread request promotes Auto to Concurrent.
+        // Concrete engines pass through; Auto resolves by size, but an
+        // explicit multi-thread request promotes Auto to Concurrent.
         assert_eq!(
             resolve_round_engine(Engine::Faithful, 8, 8, 1),
             Engine::Faithful
         );
         assert_eq!(
-            resolve_round_engine(Engine::Jump, 8, 8, 1),
-            Engine::Faithful
-        );
-        assert_eq!(
             resolve_round_engine(Engine::Histogram, 8, 8, 1),
-            Engine::Histogram
-        );
-        assert_eq!(
-            resolve_round_engine(Engine::LevelBatched, 8, 8, 1),
             Engine::Histogram
         );
         assert_eq!(

@@ -68,6 +68,18 @@ fn two_sample_p(a: &[u64], b: &[u64]) -> f64 {
     chi_square_sf((cells.len() - 1) as u64, stat)
 }
 
+/// Offset of an engine's replicate seeds, in units of 10⁶. Pinned per
+/// engine (not derived from the enum's discriminant) so that the
+/// ensembles — and the p-values asserted on them — stay put when
+/// `Engine`'s variant list changes.
+fn seed_space(engine: Engine) -> u64 {
+    match engine {
+        Engine::Faithful => 0,
+        Engine::Histogram => 3,
+        other => panic!("no seed space for {other:?}"),
+    }
+}
+
 /// Histograms a per-outcome statistic over replicate ensembles of the
 /// faithful and round-occupancy engines.
 fn engine_histograms<P, F>(
@@ -89,7 +101,7 @@ where
         for rep in 0..reps {
             // Distinct seed spaces per engine: the comparison is
             // distributional, not stream-coupled.
-            let seed = rep + engine as u64 * 1_000_000;
+            let seed = rep + seed_space(engine) * 1_000_000;
             let out = run_protocol(proto, &cfg, seed);
             let idx = stat(&out).min(cells - 1);
             h[idx] += 1;
@@ -469,35 +481,6 @@ fn auto_resolves_deterministically_and_matches_stream() {
             let a = run_protocol(proto.as_ref(), &auto, 42);
             let b = run_protocol(proto.as_ref(), &conc, 42);
             assert_eq!(a, b, "Auto diverged for {}", a.protocol);
-        }
-    }
-}
-
-#[test]
-fn alias_engines_share_their_concrete_path() {
-    // Jump aliases the faithful rounds, LevelBatched the
-    // round-occupancy engine — documented resolution, not silence.
-    let n = 512usize;
-    for proto in [
-        Box::new(Collision::new(1)) as Box<dyn DynProtocol>,
-        Box::new(BoundedLoad::new(2)),
-        Box::new(ParallelGreedy::new(2, 3, 1)),
-    ] {
-        for (alias, concrete) in [
-            (Engine::Jump, Engine::Faithful),
-            (Engine::LevelBatched, Engine::Histogram),
-        ] {
-            let a = run_protocol(
-                proto.as_ref(),
-                &RunConfig::new(n, n as u64).with_engine(alias),
-                7,
-            );
-            let b = run_protocol(
-                proto.as_ref(),
-                &RunConfig::new(n, n as u64).with_engine(concrete),
-                7,
-            );
-            assert_eq!(a, b, "{alias} should alias {concrete}");
         }
     }
 }

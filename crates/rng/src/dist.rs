@@ -214,8 +214,8 @@ impl Distribution for PoissonSampler {
 /// mean `n·min(p, 1−p)` is small, and inversion *centred at the mode*
 /// otherwise. Both walk the exact pmf recurrence, so only speed differs:
 /// the from-zero walk costs `O(np)` steps, the mode-centred walk
-/// `O(√(npq))` expected — what keeps the level-batched allocation
-/// engine's multinomial splits cheap at `m = n²` scale.
+/// `O(√(npq))` expected — what keeps the histogram engines' wide
+/// binomial splits cheap at `m = n²` scale.
 #[derive(Debug, Clone, Copy)]
 pub struct BinomialSampler {
     n: u64,
@@ -575,7 +575,7 @@ mod tests {
     #[test]
     fn binomial_mode_inversion_moments() {
         // Deep in the mode-centred regime: mean 10⁴, sd ≈ 99.5 — the
-        // exact shape the level-batched engine draws at m = n².
+        // shape of a per-bin intake split at m = n².
         let mut rng = SplitMix64::new(41);
         let d = BinomialSampler::new(1_000_000, 0.01);
         let reps = 4_000;

@@ -52,7 +52,7 @@ impl State {
     }
 }
 
-/// Jump polynomial for 2¹²⁸ steps (reference constants).
+/// Polynomial of the 2¹²⁸-step jump (reference constants).
 const JUMP: [u64; 4] = [
     0x180E_C6D3_3CFD_0ABA,
     0xD5A6_1266_F0C9_392C,
@@ -60,7 +60,7 @@ const JUMP: [u64; 4] = [
     0x39AB_DC45_29B1_661C,
 ];
 
-/// Jump polynomial for 2¹⁹² steps (reference constants).
+/// Polynomial of the 2¹⁹²-step long jump (reference constants).
 const LONG_JUMP: [u64; 4] = [
     0x7674_3594_7B27_C615,
     0x7712_5832_1E21_DBD0,

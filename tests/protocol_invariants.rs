@@ -34,7 +34,7 @@ fn mass_is_conserved_for_every_protocol_and_config() {
 fn paper_protocols_never_violate_max_load_bound() {
     // The defining property: max load ≤ ⌈m/n⌉ + 1 on EVERY run.
     for cfg in configs() {
-        for engine in [Engine::Faithful, Engine::Jump] {
+        for engine in Engine::ALL {
             let cfg = cfg.with_engine(engine);
             for seed in 0..10u64 {
                 let a = run_protocol(&Adaptive::paper(), &cfg, seed);
@@ -65,7 +65,7 @@ fn engines_produce_identically_shaped_results() {
     let reps = 30u64;
     let mut ratios = [0.0f64; 2];
     let mut max_ok = [true; 2];
-    for (i, engine) in [Engine::Faithful, Engine::Jump].into_iter().enumerate() {
+    for (i, engine) in Engine::ALL.into_iter().enumerate() {
         let cfg = RunConfig::new(n, m).with_engine(engine);
         let outs = run_replicates(&Threshold, &cfg, 77, reps);
         ratios[i] = outs.iter().map(|o| o.time_ratio()).sum::<f64>() / reps as f64;
@@ -76,7 +76,7 @@ fn engines_produce_identically_shaped_results() {
     assert!(max_ok[0] && max_ok[1]);
     assert!(
         (ratios[0] - ratios[1]).abs() < 0.05,
-        "naive {} vs jump {}",
+        "faithful {} vs histogram {}",
         ratios[0],
         ratios[1]
     );
@@ -113,7 +113,7 @@ fn threshold_depends_on_m_adaptive_does_not() {
 
 #[test]
 fn outcome_metrics_are_internally_consistent() {
-    let cfg = RunConfig::new(100, 1000).with_engine(Engine::Jump);
+    let cfg = RunConfig::new(100, 1000).with_engine(Engine::Faithful);
     let out = run_protocol(&Adaptive::paper(), &cfg, 3);
     assert_eq!(out.total_balls(), 1000);
     assert!(out.gap() == out.max_load() - out.min_load());
