@@ -11,8 +11,9 @@
 //! machine-readable JSON record (schema v6) so the perf trajectory is
 //! tracked in-repo.
 //! The parallel family additionally runs the sharded concurrent
-//! single-run engine at 1, 2 and 8 worker threads (deterministic mode)
-//! — each row carries `threads`, the worker count *inside* the run.
+//! single-run engine at 1, 2 and 8 worker threads (same outcome at
+//! each) — each row carries `threads`, the worker count *inside* the
+//! run.
 //! Each row carries `loads_materialized`: whether the outcome ever
 //! built its dense per-bin vector, plus the serve-mode degradation
 //! ledger `shed_rate`/`alive_frac` (0.0/1.0 for every batch row).
@@ -332,11 +333,10 @@ fn main() {
             };
             specs.push(Spec::batch(make(), cfg, reps, engine.name(), None));
         }
-        // The concurrent single-run engine (deterministic mode) at 1,
-        // 2 and 8 worker threads — the first multi-thread rows in the
-        // matrix. Deterministic mode is bit-identical across thread
-        // counts, so these rows isolate the scaling of one identical
-        // placement.
+        // The concurrent single-run engine at 1, 2 and 8 worker
+        // threads — the first multi-thread rows in the matrix. The
+        // engine is bit-identical across thread counts, so these rows
+        // isolate the scaling of one identical placement.
         for threads in [1usize, 2, 8] {
             let cfg = RunConfig::new(n_p, n_p as u64)
                 .with_engine(Engine::Concurrent)

@@ -18,12 +18,12 @@
 //! With `--reps 1`, `--threads <n>` moves *inside* the run: the sweep
 //! routes into the sharded concurrent single-run engine
 //! (`--engine concurrent`, or `auto` promoted by the thread count),
-//! deterministic by default, contention-ordered with `--racy`. The
-//! header names the path taken.
+//! whose outcome is bit-identical at every thread count. The header
+//! names the path taken.
 //!
 //! ```text
 //! cargo run --release -p bib-bench --bin parallel_rounds \
-//!     [-- --quick --csv --threads <n> --racy \
+//!     [-- --quick --csv --threads <n> \
 //!      --engine <faithful|histogram|auto|concurrent>]
 //! ```
 

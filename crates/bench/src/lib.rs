@@ -14,11 +14,8 @@
 //! * `--threads <n>` — worker threads for replicated/parallel cells
 //!   (default: machine parallelism; `1` forces serial execution). On a
 //!   single-replicate parallel-round run the threads move *inside* the
-//!   run: the concurrent engine shares one placement across workers;
-//! * `--racy` — opt out of the concurrent engine's deterministic mode:
-//!   placements are ordered by true contention (statistically validated
-//!   against the faithful path, but not bit-reproducible). Serial
-//!   engines ignore it;
+//!   run: the concurrent engine shares one placement across workers,
+//!   with the same outcome at every thread count;
 //! * `--out <path>` — write the tables (in the chosen format) to a file
 //!   instead of stdout; commentary stays on stdout. Multiple tables
 //!   append in order;
@@ -27,6 +24,9 @@
 //!   from the occupancy histogram and the binary asserts that no
 //!   outcome ever materializes its dense per-bin vector, so memory
 //!   stays independent of `n` (the `n = 10⁹` regime).
+//!
+//! An unknown flag or a malformed value is a usage error: a message on
+//! stderr and exit status 2.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,6 +49,14 @@ pub fn usage_error(msg: &str) -> ! {
     std::process::exit(2)
 }
 
+/// Parses a flag's value, or reports `msg` as a [`usage_error`] when
+/// the value is missing or malformed.
+fn parse_value<T: std::str::FromStr>(value: Option<String>, msg: &str) -> T {
+    value
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| usage_error(msg))
+}
+
 /// Parsed command-line options shared by all experiment binaries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExpArgs {
@@ -62,9 +70,6 @@ pub struct ExpArgs {
     pub engine: Option<Engine>,
     /// Worker-thread override for replicated cells (`Some(1)` = serial).
     pub threads: Option<usize>,
-    /// Concurrent engine: racy (contention-ordered) instead of the
-    /// deterministic per-chunk-stream mode.
-    pub racy: bool,
     /// Table output path (`None` = stdout).
     pub out: Option<String>,
     /// Emit CSV instead of an aligned table.
@@ -96,7 +101,6 @@ impl ExpArgs {
             reps: None,
             engine: None,
             threads: None,
-            racy: false,
             out: None,
             csv: false,
             no_loads: false,
@@ -104,8 +108,8 @@ impl ExpArgs {
         }
     }
 
-    /// Parses `std::env::args`, panicking with a usage message on
-    /// unknown flags (these are internal tools; fail loudly).
+    /// Parses `std::env::args`; an unknown flag or a malformed value
+    /// is a [`usage_error`] (exit 2).
     pub fn parse() -> Self {
         Self::parse_with(|_, _| false)
     }
@@ -123,22 +127,10 @@ impl ExpArgs {
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--quick" => out.quick = true,
-                "--racy" => out.racy = true,
                 "--csv" => out.csv = true,
                 "--no-loads" => out.no_loads = true,
-                "--seed" => {
-                    out.seed = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--seed needs a u64");
-                }
-                "--reps" => {
-                    out.reps = Some(
-                        args.next()
-                            .and_then(|v| v.parse().ok())
-                            .expect("--reps needs a u64"),
-                    );
-                }
+                "--seed" => out.seed = parse_value(args.next(), "--seed needs a u64"),
+                "--reps" => out.reps = Some(parse_value(args.next(), "--reps needs a u64")),
                 "--engine" => match args.next().map(|v| v.parse::<Engine>()) {
                     Some(Ok(engine)) => out.engine = Some(engine),
                     Some(Err(msg)) => usage_error(&msg),
@@ -147,23 +139,25 @@ impl ExpArgs {
                     ),
                 },
                 "--threads" => {
-                    out.threads = Some(
-                        args.next()
-                            .and_then(|v| v.parse().ok())
-                            .expect("--threads needs a positive integer"),
-                    );
+                    out.threads = Some(parse_value(
+                        args.next(),
+                        "--threads needs a positive integer",
+                    ));
                 }
                 "--out" => {
-                    out.out = Some(args.next().expect("--out needs a path"));
+                    out.out = Some(
+                        args.next()
+                            .unwrap_or_else(|| usage_error("--out needs a path")),
+                    );
                 }
                 other => {
                     if !extra(other, &mut args) {
-                        panic!(
+                        usage_error(&format!(
                             "unknown flag {other}; supported: --quick --csv --no-loads \
-                             --racy --seed <u64> --reps <u64> \
+                             --seed <u64> --reps <u64> \
                              --engine <faithful|histogram|concurrent|auto> \
                              --threads <n> --out <path>"
-                        )
+                        ))
                     }
                 }
             }
@@ -205,8 +199,7 @@ impl ExpArgs {
     /// config carries the thread count, and the default engine is
     /// promoted to `Auto` so the round family resolves it to the
     /// concurrent single-run engine (an explicit `--engine` still
-    /// wins). `--racy` is forwarded either way — serial engines ignore
-    /// it.
+    /// wins).
     pub fn round_run_config(
         &self,
         n: usize,
@@ -217,9 +210,7 @@ impl ExpArgs {
         let threads = self.threads_or_available();
         let single = reps == 1 && threads > 1;
         let engine = self.engine_or(if single { Engine::Auto } else { default });
-        let mut cfg = bib_core::protocol::RunConfig::new(n, m)
-            .with_engine(engine)
-            .with_racy(self.racy);
+        let mut cfg = bib_core::protocol::RunConfig::new(n, m).with_engine(engine);
         if single {
             cfg = cfg.with_threads(threads);
         }
@@ -235,8 +226,7 @@ impl ExpArgs {
         let concurrent =
             matches!(engine, Engine::Concurrent) || (single && matches!(engine, Engine::Auto));
         if concurrent {
-            let mode = if self.racy { "racy" } else { "deterministic" };
-            format!("# path: concurrent single-run engine, {threads} threads, {mode} mode")
+            format!("# path: concurrent single-run engine, {threads} threads, deterministic mode")
         } else {
             format!(
                 "# path: {} engine per run, replicates across {threads} thread(s)",
@@ -460,7 +450,6 @@ mod tests {
     fn round_run_config_moves_threads_inside_single_replicate_runs() {
         let a = ExpArgs {
             threads: Some(8),
-            racy: true,
             ..ExpArgs::new()
         };
         // One replicate: the run itself is threaded and the default
@@ -469,10 +458,9 @@ mod tests {
         let single = a.round_run_config(1024, 1024, 1, Engine::Faithful);
         assert_eq!(single.engine, Engine::Auto);
         assert_eq!(single.threads, 8);
-        assert!(single.racy);
         assert!(a
             .round_path_header(1, Engine::Faithful)
-            .contains("concurrent single-run engine, 8 threads, racy"));
+            .contains("concurrent single-run engine, 8 threads, deterministic mode"));
         // Several replicates: threads parallelize replicates, each run
         // keeps the experiment's default serial engine.
         let multi = a.round_run_config(1024, 1024, 10, Engine::Faithful);

@@ -258,6 +258,30 @@ fn binaries_reject_unknown_flags() {
 }
 
 #[test]
+fn removed_and_malformed_flags_are_a_usage_error() {
+    // A flag the binaries do not know and a malformed value are both
+    // usage errors: a message on stderr and exit status 2, not a panic.
+    for (bin, args, msg) in [
+        (
+            env!("CARGO_BIN_EXE_parallel_rounds"),
+            &["--quick", "--racy"][..],
+            "unknown flag --racy",
+        ),
+        (
+            env!("CARGO_BIN_EXE_table1"),
+            &["--quick", "--reps", "x"][..],
+            "--reps needs a u64",
+        ),
+    ] {
+        let out = Command::new(bin).args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(msg), "{err}");
+        assert!(!err.contains("panicked"), "{err}");
+    }
+}
+
+#[test]
 fn bench_json_smoke_writes_valid_json() {
     let out_path = std::env::temp_dir().join("bib_bench_engines_smoke.json");
     let path = out_path.to_str().unwrap();

@@ -5,241 +5,21 @@
 //! actually uses:
 //!
 //! * multi-producer/single-consumer channels created with
-//!   [`channel::bounded`] (clonable senders, an iterable receiver);
-//! * [`atomic::AtomicCell`], a lock-free cell over the primitive
-//!   integer/bool types, in the spirit of `crossbeam_utils`'s cell
-//!   (every operation is `SeqCst`, like the original);
+//!   [`channel::bounded`] (clonable senders, an iterable receiver) —
+//!   the replicate executor's result fan-in;
 //! * [`pool::scoped`], a scoped worker pool with a per-round barrier
 //!   ([`pool::Rounds`]) for round-synchronous supersteps — the shape
-//!   the concurrent single-run engine in `bib-parallel` needs.
+//!   the concurrent single-run engine and the sharded serve driver in
+//!   `bib-parallel` need.
 //!
-//! The implementations delegate to `std::sync` (`mpsc`, `atomic`,
-//! `Barrier`, `thread::scope`), which provide the same semantics for
+//! The implementations delegate to `std::sync` (`mpsc`, `Mutex`,
+//! `Condvar`, `thread::scope`), which provide the same semantics for
 //! these usage patterns. Swapping in the real crossbeam later only
 //! requires deleting this crate from the workspace and pointing
 //! `[workspace.dependencies]` at the registry.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod atomic {
-    //! Lock-free cells over primitive types, mirroring the
-    //! `crossbeam_utils::atomic::AtomicCell` API subset the workspace
-    //! uses. All operations are `SeqCst`, matching the original's
-    //! contract — callers that can justify weaker orderings use
-    //! `std::sync::atomic` directly (see `bib-parallel`'s concurrent
-    //! engine, where every ordering carries its argument).
-
-    // ORDERING: SeqCst everywhere in this module — the cell's contract.
-    use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-
-    mod sealed {
-        pub trait Sealed {}
-    }
-
-    /// A primitive type with a native lock-free atomic representation.
-    ///
-    /// Sealed: exactly `u32`, `u64`, `usize` and `bool` — the types the
-    /// workspace's concurrent code stores in shared cells.
-    pub trait Primitive: sealed::Sealed + Copy {
-        /// The backing `std::sync::atomic` type.
-        type Repr;
-        /// Wraps a value.
-        fn into_repr(self) -> Self::Repr;
-        /// Atomically loads (`SeqCst`).
-        fn load(repr: &Self::Repr) -> Self;
-        /// Atomically stores (`SeqCst`).
-        fn store(repr: &Self::Repr, v: Self);
-        /// Atomically swaps (`SeqCst`), returning the previous value.
-        fn swap(repr: &Self::Repr, v: Self) -> Self;
-        /// Atomic compare-exchange. ORDERING: `SeqCst` on both edges.
-        /// RETRY: a single attempt, not a loop — [`AtomicCell::fetch_update`]
-        /// owns the retry loop and its termination argument.
-        fn compare_exchange(repr: &Self::Repr, current: Self, new: Self) -> Result<Self, Self>;
-        /// Consumes the cell, returning the inner value.
-        fn into_inner(repr: Self::Repr) -> Self;
-    }
-
-    macro_rules! impl_primitive {
-        ($($ty:ty => $atomic:ty),+ $(,)?) => {$(
-            impl sealed::Sealed for $ty {}
-            impl Primitive for $ty {
-                type Repr = $atomic;
-                fn into_repr(self) -> $atomic {
-                    <$atomic>::new(self)
-                }
-                fn load(repr: &$atomic) -> $ty {
-                    // ORDERING: SeqCst across the board — AtomicCell
-                    // mirrors crossbeam's strongest-by-default contract
-                    // so callers never reason about ordering here.
-                    repr.load(Ordering::SeqCst)
-                }
-                fn store(repr: &$atomic, v: $ty) {
-                    // ORDERING: SeqCst; see `load`.
-                    repr.store(v, Ordering::SeqCst)
-                }
-                fn swap(repr: &$atomic, v: $ty) -> $ty {
-                    // ORDERING: SeqCst; see `load`.
-                    repr.swap(v, Ordering::SeqCst)
-                }
-                // RETRY: a single attempt, not a loop — `fetch_update`
-                // owns the retry loop and its termination argument.
-                // ORDERING: SeqCst on both edges; see the body.
-                fn compare_exchange(
-                    repr: &$atomic,
-                    current: $ty,
-                    new: $ty,
-                ) -> Result<$ty, $ty> {
-                    // ORDERING: SeqCst on success and failure; see
-                    // `load`. RETRY: single attempt (no loop).
-                    repr.compare_exchange(current, new, Ordering::SeqCst, Ordering::SeqCst)
-                }
-                fn into_inner(repr: $atomic) -> $ty {
-                    repr.into_inner()
-                }
-            }
-        )+};
-    }
-
-    // ORDERING: SeqCst — the macro body above pins every operation.
-    impl_primitive!(u32 => AtomicU32, u64 => AtomicU64, usize => AtomicUsize, bool => AtomicBool);
-
-    /// A thread-safe mutable cell, lock-free for the supported
-    /// [`Primitive`] types. ORDERING: every operation is `SeqCst`.
-    pub struct AtomicCell<T: Primitive> {
-        repr: T::Repr,
-    }
-
-    // ORDERING: SeqCst throughout — delegated to [`Primitive`].
-    impl<T: Primitive> AtomicCell<T> {
-        /// Creates a cell initialized to `value`.
-        pub fn new(value: T) -> Self {
-            Self {
-                repr: value.into_repr(),
-            }
-        }
-
-        /// Loads the current value.
-        pub fn load(&self) -> T {
-            T::load(&self.repr)
-        }
-
-        /// Stores `value`.
-        pub fn store(&self, value: T) {
-            T::store(&self.repr, value)
-        }
-
-        /// Swaps in `value`, returning the previous value.
-        pub fn swap(&self, value: T) -> T {
-            T::swap(&self.repr, value)
-        }
-
-        /// Compare-exchange: replaces `current` with `new`, returning
-        /// `Ok(previous)` on success and `Err(actual)` on mismatch.
-        /// ORDERING: `SeqCst` both edges. RETRY: a single attempt, not
-        /// a loop — [`Self::fetch_update`] owns the retry loop.
-        pub fn compare_exchange(&self, current: T, new: T) -> Result<T, T> {
-            T::compare_exchange(&self.repr, current, new)
-        }
-
-        /// CAS retry loop: applies `f` to the observed value until the
-        /// exchange lands or `f` returns `None`. Returns the *previous*
-        /// value on success, the last observed value on `None`.
-        // RETRY: terminates because each failed compare_exchange returns
-        // the freshly observed value, so the loop only repeats while
-        // other threads make progress (lock-free, not wait-free — the
-        // standard fetch_update contract); `None` exits immediately.
-        // ORDERING: SeqCst via the delegated cell operations.
-        pub fn fetch_update<F>(&self, mut f: F) -> Result<T, T>
-        where
-            F: FnMut(T) -> Option<T>,
-        {
-            let mut observed = self.load();
-            while let Some(new) = f(observed) {
-                // RETRY: see the contract above. ORDERING: SeqCst.
-                match self.compare_exchange(observed, new) {
-                    Ok(prev) => return Ok(prev),
-                    Err(actual) => observed = actual,
-                }
-            }
-            Err(observed)
-        }
-
-        /// Consumes the cell, returning the inner value.
-        pub fn into_inner(self) -> T {
-            T::into_inner(self.repr)
-        }
-    }
-
-    // ORDERING: SeqCst load via the cell's contract.
-    impl<T: Primitive + std::fmt::Debug> std::fmt::Debug for AtomicCell<T> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_tuple("AtomicCell").field(&self.load()).finish()
-        }
-    }
-
-    // ORDERING: no shared state yet — constructs a fresh cell.
-    impl<T: Primitive + Default> Default for AtomicCell<T> {
-        fn default() -> Self {
-            Self::new(T::default())
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn load_store_swap() {
-            // ORDERING: SeqCst — the cell's fixed contract.
-            let c = AtomicCell::new(5u64);
-            assert_eq!(c.load(), 5);
-            c.store(9);
-            assert_eq!(c.swap(11), 9);
-            assert_eq!(c.into_inner(), 11);
-        }
-
-        #[test]
-        fn fetch_update_bounded_increment() {
-            // ORDERING: SeqCst cell. RETRY: the counter saturates at 2,
-            // after which the closure returns None and the loop exits.
-            let c = AtomicCell::new(0u32);
-            // Saturating-at-2 counter: two successes, then rejection.
-            let bump = |c: &AtomicCell<u32>| c.fetch_update(|v| (v < 2).then_some(v + 1));
-            assert_eq!(bump(&c), Ok(0));
-            assert_eq!(bump(&c), Ok(1));
-            assert_eq!(bump(&c), Err(2));
-            assert_eq!(c.load(), 2);
-        }
-
-        #[test]
-        fn contended_fetch_update_counts_exactly() {
-            // ORDERING: SeqCst cell.
-            let c = AtomicCell::new(0usize);
-            std::thread::scope(|s| {
-                for _ in 0..4 {
-                    s.spawn(|| {
-                        for _ in 0..1000 {
-                            // ORDERING: SeqCst cell. RETRY: lock-free —
-                            // each failure means a competing increment
-                            // landed; 3999 competitors bound the retries.
-                            c.fetch_update(|v| Some(v + 1)).unwrap();
-                        }
-                    });
-                }
-            });
-            assert_eq!(c.load(), 4000);
-        }
-
-        #[test]
-        fn bool_cell_compare_exchange() {
-            // ORDERING: SeqCst cell. RETRY: single attempts, no loop.
-            let c = AtomicCell::new(false);
-            assert_eq!(c.compare_exchange(false, true), Ok(false));
-            assert_eq!(c.compare_exchange(false, true), Err(true));
-        }
-    }
-}
 
 pub mod pool {
     //! A scoped worker pool with a per-round barrier, for

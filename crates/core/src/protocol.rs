@@ -43,8 +43,8 @@ use bib_rng::Rng64;
 /// an atomic load array, worker threads process disjoint ball chunks
 /// within each synchronous round, and acceptance resolves through
 /// atomic read-modify-write operations. It honours
-/// [`RunConfig::threads`] and the [`RunConfig::racy`] determinism
-/// contract; outside the parallel family it resolves exactly like
+/// [`RunConfig::threads`], and its outcome is bit-identical at every
+/// thread count; outside the parallel family it resolves exactly like
 /// `Auto` (the sequential families have no concurrent path).
 ///
 /// `Auto` is not an engine of its own: each protocol resolves it to the
@@ -77,8 +77,8 @@ impl Engine {
     /// a selector, not an engine, and is deliberately absent: iterating
     /// `ALL` visits each distinct simulation path exactly once.
     /// `Concurrent` is also absent — it is a deployment mode of the
-    /// parallel family (its deterministic mode is distributionally
-    /// identical to `Faithful` there, and it aliases `Auto` elsewhere),
+    /// parallel family (distributionally identical to `Faithful`
+    /// there, and it aliases `Auto` elsewhere),
     /// so iterating it alongside the serial engines would visit no new
     /// path on a single thread.
     pub const ALL: [Engine; 2] = [Engine::Faithful, Engine::Histogram];
@@ -167,24 +167,19 @@ pub struct RunConfig {
     /// multi-thread [`Engine::Concurrent`] path; `left[d]`, `memory`
     /// and `(1+β)` ignore the engine.
     pub engine: Engine,
-    /// Worker threads *within one run* (≥ 1). Only the parallel round
-    /// family's [`Engine::Concurrent`] path uses it; every serial
-    /// engine ignores it. `Engine::Auto` on a parallel protocol
-    /// resolves to `Concurrent` when `threads > 1`.
+    /// Worker threads *within one run* (≥ 1). Two drivers use it: the
+    /// parallel round family's [`Engine::Concurrent`] path and the
+    /// dense serve driver `bib_parallel::serve_concurrent`; every
+    /// serial engine ignores it. Both threaded drivers derive per-chunk
+    /// child RNG streams, so their outcomes are bit-identical for every
+    /// `threads`. `Engine::Auto` on a parallel protocol resolves to
+    /// `Concurrent` when `threads > 1`.
     pub threads: usize,
-    /// Determinism contract of the concurrent engine. `false` (the
-    /// default) derives per-chunk child RNG streams so the run is
-    /// bit-reproducible and independent of `threads`; `true` lets CAS
-    /// contention order placements nondeterministically (per-worker
-    /// streams, first-arrival acceptance) — distributionally equivalent
-    /// to the faithful driver, validated by the chi-square suite.
-    /// Ignored by every serial engine.
-    pub racy: bool,
 }
 
 impl RunConfig {
-    /// Creates a configuration with the default (faithful) engine,
-    /// one thread, and the deterministic concurrency contract.
+    /// Creates a configuration with the default (faithful) engine and
+    /// one thread.
     pub fn new(n: usize, m: u64) -> Self {
         assert!(n > 0, "RunConfig: need at least one bin");
         Self {
@@ -192,7 +187,6 @@ impl RunConfig {
             m,
             engine: Engine::Faithful,
             threads: 1,
-            racy: false,
         }
     }
 
@@ -206,13 +200,6 @@ impl RunConfig {
     /// engine only; clamped to ≥ 1).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Opts in to the racy (nondeterministic placement order)
-    /// concurrency contract; see [`RunConfig::racy`].
-    pub fn with_racy(mut self, racy: bool) -> Self {
-        self.racy = racy;
         self
     }
 

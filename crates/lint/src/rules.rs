@@ -498,9 +498,9 @@ fn rule_n1(file: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-/// C1 — the concurrency-readiness contract the sharded CAS engine will
-/// be built under: unsafe code and atomics are only admissible with
-/// their proof obligations written down next to them.
+/// C1 — the concurrency-readiness contract the sharded concurrent
+/// engine is built under: unsafe code and atomics are only admissible
+/// with their proof obligations written down next to them.
 fn rule_c1(file: &SourceFile, out: &mut Vec<Finding>) {
     const MEMORY_ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
     const ATOMIC_OPS: &[&str] = &[

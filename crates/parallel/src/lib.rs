@@ -30,6 +30,7 @@
 pub mod executor;
 pub mod protocols;
 pub mod replicate;
+mod shard;
 pub mod stream;
 
 pub use executor::{available_threads, par_map};

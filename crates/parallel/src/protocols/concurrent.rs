@@ -7,8 +7,8 @@
 //! `cfg.threads` worker threads instead: per-bin state lives in shared
 //! arrays of atomics (the "shards"), each worker processes disjoint
 //! chunks of balls within a round, and placements are accepted through
-//! commutative atomic read-modify-writes — `fetch_add` tallies,
-//! `fetch_min` lotteries, and `fetch_update` CAS-retry claims.
+//! commutative atomic read-modify-writes — `fetch_add` tallies and
+//! `fetch_min` lotteries.
 //!
 //! # Memory model
 //!
@@ -25,36 +25,30 @@
 //!   section while the other workers wait at the top-of-round barrier,
 //!   and reads the round's accumulators after the end-of-round barrier;
 //! * within a phase, shard updates are commutative (`fetch_add` /
-//!   `fetch_min` / monotone `fetch_update`), so the final value is
-//!   independent of thread interleaving;
+//!   `fetch_min`), or plain loads and stores by the one worker that
+//!   owns the cell for that phase, so the final value is independent
+//!   of thread interleaving;
 //! * reads that must see a phase's writes happen after the next
 //!   barrier.
 //!
-//! # Deterministic vs racy
+//! No update is a compare-and-swap: nothing here retries.
 //!
-//! The engine has two documented modes, selected by `cfg.racy`:
+//! # Determinism
 //!
-//! * **Deterministic** (default): every random draw comes from a
-//!   per-`(round, chunk)` child stream of one engine seed, chunks are
-//!   assigned to workers by a fixed round-robin, and every shared
-//!   update is commutative — so the outcome is *bit-identical for
-//!   every thread count*, including `--threads 1`. Placement conflicts
-//!   are resolved by scheduling-independent lotteries: each contending
-//!   entry draws a 32-bit priority and `fetch_min` keeps the smallest
-//!   `(priority, ball)` key, which is a uniform pick among the entries
-//!   (ties fall back to the smaller ball id, a ~2⁻³² bias). The
-//!   deterministic mode reproduces each faithful path's per-round
-//!   *law* exactly (argued at each driver), it just draws from
-//!   different streams — the equivalence suite checks both the
-//!   thread-count invariance and the distributional match.
-//! * **Racy** (`cfg.racy = true`, `--racy` on the experiment
-//!   binaries): workers claim chunks first-come off a shared ticket
-//!   and draw from per-worker streams, and acceptance races are
-//!   settled by whoever's CAS lands first — placements are ordered by
-//!   true contention, so reruns may differ. The mode is validated
-//!   statistically: a two-sample chi-square against the faithful path
-//!   on max-load / rounds / messages (see
-//!   `tests/concurrent_equivalence.rs`).
+//! Every random draw comes from a per-`(round, chunk)` child stream of
+//! one engine seed, chunks are assigned to workers by a fixed
+//! round-robin ([`crate::shard`]), and every shared update is
+//! commutative — so the outcome is *bit-identical for every thread
+//! count*, including `--threads 1`. Placement conflicts are resolved
+//! by scheduling-independent lotteries: each contending entry draws a
+//! 32-bit priority and `fetch_min` keeps the smallest
+//! `(priority, ball)` key, which is a uniform pick among the entries
+//! (ties fall back to the smaller ball id, a ~2⁻³² bias). Each driver
+//! reproduces its faithful path's per-round *law* exactly (argued at
+//! each driver), it just draws from different streams — the
+//! equivalence suite (`tests/concurrent_equivalence.rs`) checks both
+//! the thread-count invariance and the distributional match, and
+//! `tests/concurrent_golden.rs` pins the streams themselves.
 //!
 //! Observer contract: `on_ball` never fires (round protocols place
 //! balls simultaneously); stage ends fire once per protocol round with
@@ -64,37 +58,27 @@
 //!
 //! [`Engine::Concurrent`]: bib_core::protocol::Engine::Concurrent
 
+use crate::shard::{chunk_stream, owned_chunks, unwrap_loads};
 use bib_core::error::ProtocolError;
 use bib_core::protocol::{Observer, Outcome, RunConfig};
 use bib_core::scenario::Scenario;
-use bib_rng::{Rng64, RngExt, SeedSequence, Xoshiro256PlusPlus};
+use bib_rng::{Rng64, RngExt, SeedSequence};
 use crossbeam::pool;
 // ORDERING: every atomic op in this module carries an inline argument;
 // the module docs give the barrier-superstep memory model.
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// Balls per work chunk: small enough to load-balance the racy mode,
-/// large enough that the per-chunk stream setup (a few SplitMix64
-/// mixes) is noise.
-const CHUNK: u64 = 4096;
 
 /// Sentinel for an unclaimed lottery slot — larger than every packed
 /// `(priority, ball)` key because ball ids are `< u32::MAX`.
 const EMPTY: u64 = u64::MAX;
 
-/// Packs a `(high, low)` pair of u32 halves into a lottery key or a
-/// `(round, count)` cell.
+/// Packs a `(priority, ball)` pair of u32 halves into a lottery key.
 fn pack(hi: u32, lo: u32) -> u64 {
     (u64::from(hi) << 32) | u64::from(lo)
 }
 
-/// High half of a packed cell.
-fn hi32(v: u64) -> u32 {
-    u32::try_from(v >> 32).expect("a shifted u64 high half fits u32")
-}
-
-/// Low half of a packed cell.
+/// Low half (the ball id) of a packed lottery key.
 fn lo32(v: u64) -> u32 {
     u32::try_from(v & u64::from(u32::MAX)).expect("a masked u64 low half fits u32")
 }
@@ -103,68 +87,6 @@ fn lo32(v: u64) -> u32 {
 /// ids asserts `m ≤ u32::MAX` on entry.
 fn ball32(j: u64) -> u32 {
     u32::try_from(j).expect("ball ids fit u32 (m is asserted on entry)")
-}
-
-/// The deterministic per-`(round, chunk)` stream: any worker can
-/// derive it locally, so nothing about the random schedule depends on
-/// which thread processes a chunk. Round 0 is reserved for preludes
-/// (e.g. the greedy candidate fill); protocol rounds start at 1.
-fn chunk_rng(engine_seed: u64, round: u32, chunk: u64) -> Xoshiro256PlusPlus {
-    SeedSequence::new(engine_seed)
-        .child(u64::from(round))
-        .child(chunk)
-        .rng()
-}
-
-/// The racy mode's persistent per-worker stream.
-fn worker_rng(engine_seed: u64, w: usize) -> Xoshiro256PlusPlus {
-    SeedSequence::new(engine_seed)
-        .child_str("racy-worker")
-        .child(w as u64)
-        .rng()
-}
-
-/// Iterates the chunk indices worker `w` processes in one phase.
-///
-/// Deterministic mode walks a fixed round-robin by worker id: every
-/// shared update commutes, so outcomes do not depend on which worker
-/// handles a chunk and no coordination is needed. Racy mode claims
-/// chunks first-come off the shared ticket (reset by the leader each
-/// round), which load-balances at the cost of scheduling-dependent
-/// claim order.
-fn claim_chunks(
-    det: bool,
-    w: usize,
-    workers: usize,
-    chunks: u64,
-    // ORDERING: Relaxed-only ticket; see the claim loop's argument.
-    ticket: &AtomicUsize,
-    mut body: impl FnMut(u64),
-) {
-    if det {
-        let mut c = w as u64;
-        while c < chunks {
-            body(c);
-            c += workers as u64;
-        }
-    } else {
-        loop {
-            // ORDERING: Relaxed — the ticket only partitions chunk
-            // indices between workers; the data each chunk touches is
-            // ordered by the phase barriers, not by this counter.
-            let c = ticket.fetch_add(1, Ordering::Relaxed) as u64;
-            if c >= chunks {
-                break;
-            }
-            body(c);
-        }
-    }
-}
-
-/// The `[lo, hi)` ball range of chunk `c` over `items` balls.
-fn chunk_range(c: u64, items: u64) -> (u64, u64) {
-    let lo = c * CHUNK;
-    (lo, (lo + CHUNK).min(items))
 }
 
 /// Stage snapshots buffered by the leader: `(label, loads, placed)`.
@@ -189,12 +111,6 @@ fn replay_stages<O: Observer + ?Sized>(stages: Stages, obs: &mut O) {
 /// placement writes before it.
 fn snapshot_loads(loads: &[AtomicU32]) -> Vec<u32> {
     loads.iter().map(|l| l.load(Ordering::Relaxed)).collect()
-}
-
-/// Drains a shard of atomics into the plain vector an [`Outcome`]
-/// wants. ORDERING: none — `into_inner` takes ownership.
-fn unwrap_loads(loads: Vec<AtomicU32>) -> Vec<u32> {
-    loads.into_iter().map(AtomicU32::into_inner).collect()
 }
 
 // ---------------------------------------------------------------------
@@ -229,8 +145,7 @@ where
     let (n, m) = (cfg.n, cfg.m);
     assert!(n > 0, "need at least one bin");
     let workers = cfg.threads.max(1);
-    let det = !cfg.racy;
-    let engine_seed = rng.next_u64();
+    let seeds = SeedSequence::new(rng.next_u64());
     let want_stages = obs.wants_stage_ends();
 
     // Bin shards. ORDERING: Relaxed throughout — phase A only writes
@@ -253,11 +168,9 @@ where
     // ORDERING: Relaxed throughout — same serial-section contract.
     let messages = AtomicU64::new(0);
     let rounds_out = AtomicU32::new(0);
-    let ticket = AtomicUsize::new(0);
     let stages: Stages = Mutex::new(Vec::new());
 
     pool::scoped(workers, |w, bar| {
-        let mut racy_rng = (!det).then(|| worker_rng(engine_seed, w));
         // Bins this worker first-touched in phase A — exclusively
         // owned, so phase B sweeps them without coordination.
         let mut touched: Vec<usize> = Vec::new();
@@ -345,8 +258,6 @@ where
                 round.store(l_round, Ordering::Relaxed);
                 unplaced.store(l_unplaced, Ordering::Relaxed);
                 in_fallback.store(l_fallback, Ordering::Relaxed);
-                // ORDERING: Relaxed — ticket reset, same publication.
-                ticket.store(0, Ordering::Relaxed);
             }
             bar.sync();
             // ORDERING: Relaxed — all workers read the parameters the
@@ -358,40 +269,23 @@ where
             let r = round.load(Ordering::Relaxed);
             let u = unplaced.load(Ordering::Relaxed);
             let fb = in_fallback.load(Ordering::Relaxed);
-            let chunks = u.div_ceil(CHUNK);
             if fb {
                 // Fallback: every remaining ball lands one-choice.
-                claim_chunks(det, w, workers, chunks, &ticket, |chunk| {
-                    let (lo, hi) = chunk_range(chunk, u);
-                    let mut stream;
-                    let crng: &mut dyn Rng64 = match racy_rng.as_mut() {
-                        Some(wr) => wr,
-                        None => {
-                            stream = chunk_rng(engine_seed, r, chunk);
-                            &mut stream
-                        }
-                    };
+                for (chunk, lo, hi) in owned_chunks(w, workers, u) {
+                    let mut crng = chunk_stream(seeds, u64::from(r), chunk);
                     for _ in lo..hi {
                         let b = crng.range_usize(n);
                         // ORDERING: Relaxed — unconditional commutative
                         // placement tally.
                         loads[b].fetch_add(1, Ordering::Relaxed);
                     }
-                });
+                }
             } else {
                 // Phase A: contacts. The first toucher of a bin (its
                 // fetch_add returned 0) takes exclusive ownership of
                 // resolving it in phase B.
-                claim_chunks(det, w, workers, chunks, &ticket, |chunk| {
-                    let (lo, hi) = chunk_range(chunk, u);
-                    let mut stream;
-                    let crng: &mut dyn Rng64 = match racy_rng.as_mut() {
-                        Some(wr) => wr,
-                        None => {
-                            stream = chunk_rng(engine_seed, r, chunk);
-                            &mut stream
-                        }
-                    };
+                for (chunk, lo, hi) in owned_chunks(w, workers, u) {
+                    let mut crng = chunk_stream(seeds, u64::from(r), chunk);
                     for _ in lo..hi {
                         let b = crng.range_usize(n);
                         // ORDERING: Relaxed — a commutative tally; the
@@ -401,7 +295,7 @@ where
                             touched.push(b);
                         }
                     }
-                });
+                }
                 bar.sync();
                 // Phase B: each worker resolves the bins it owns. The
                 // barrier above made every contact count visible.
@@ -460,7 +354,7 @@ fn contacts_for(round: u32, n: usize) -> u64 {
         .map_or(n as u64, |k| k.min(n as u64))
 }
 
-/// The bounded-load three-phase bin lottery (both modes).
+/// The bounded-load three-phase bin lottery.
 ///
 /// Phase A (over balls, relabelled `j ∈ 0..u`): every unplaced ball
 /// draws its `k_r` contact entries `(bin, priority)` and submits the
@@ -484,15 +378,9 @@ fn contacts_for(round: u32, n: usize) -> u64 {
 /// Phase C (over balls): a notified ball commits to `accepted[j]`,
 /// clears the cell, and counts toward the round's placements.
 ///
-/// Deterministic mode draws phase A from per-`(round, chunk)` streams
-/// on a fixed chunk round-robin; every cross-thread update above is a
-/// commutative `fetch_min`/`fetch_add`, so the outcome is thread-count
-/// invariant. Racy mode draws from persistent per-worker streams over
-/// first-come ticket chunks: which priorities each entry gets depends
-/// on the claim schedule, so placements are contention-ordered and
-/// reruns differ — while each round still implements the same
-/// uniform-entry law (priorities stay iid uniform no matter which
-/// worker draws them).
+/// Phase A draws from per-`(round, chunk)` streams on a fixed chunk
+/// round-robin; every cross-thread update above is a commutative
+/// `fetch_min`/`fetch_add`, so the outcome is thread-count invariant.
 pub(super) fn bounded_load<R, O>(
     cap: u32,
     max_rounds: u32,
@@ -516,8 +404,7 @@ where
     assert!(m <= u64::from(u32::MAX), "ball ids are u32");
     assert!(n <= u32::MAX as usize, "bin ids are u32 in lottery cells");
     let workers = cfg.threads.max(1);
-    let det = !cfg.racy;
-    let engine_seed = rng.next_u64();
+    let seeds = SeedSequence::new(rng.next_u64());
     let want_stages = obs.wants_stage_ends();
 
     // Bin shards. ORDERING: Relaxed throughout — each phase either
@@ -544,15 +431,9 @@ where
     // ORDERING: Relaxed throughout — same control-block contract.
     let rounds_out = AtomicU32::new(0);
     let max_contacts_out = AtomicU64::new(0);
-    let ticket_a = AtomicUsize::new(0);
-    // ORDERING: Relaxed throughout — same control-block contract.
-    let ticket_b = AtomicUsize::new(0);
-    let ticket_c = AtomicUsize::new(0);
     let stages: Stages = Mutex::new(Vec::new());
 
-    let chunks_n = (n as u64).div_ceil(CHUNK);
     pool::scoped(workers, |w, bar| {
-        let mut racy_rng = (!det).then(|| worker_rng(engine_seed, w));
         // Leader-only bookkeeping.
         let mut l_round = 0u32;
         let mut l_unplaced = m;
@@ -603,11 +484,6 @@ where
                         messages.fetch_add(l_unplaced * k, Ordering::Relaxed);
                         round.store(l_round, Ordering::Relaxed);
                         unplaced.store(l_unplaced, Ordering::Relaxed);
-                        // ORDERING: Relaxed — ticket resets, same
-                        // publication.
-                        ticket_a.store(0, Ordering::Relaxed);
-                        ticket_b.store(0, Ordering::Relaxed);
-                        ticket_c.store(0, Ordering::Relaxed);
                     }
                 }
             }
@@ -621,18 +497,9 @@ where
             let r = round.load(Ordering::Relaxed);
             let u = unplaced.load(Ordering::Relaxed);
             let k = contacts_for(r, n);
-            let chunks_u = u.div_ceil(CHUNK);
             // Phase A: submit every contact entry to its bin's lottery.
-            claim_chunks(det, w, workers, chunks_u, &ticket_a, |chunk| {
-                let (lo, hi) = chunk_range(chunk, u);
-                let mut stream;
-                let crng: &mut dyn Rng64 = match racy_rng.as_mut() {
-                    Some(wr) => wr,
-                    None => {
-                        stream = chunk_rng(engine_seed, r, chunk);
-                        &mut stream
-                    }
-                };
+            for (chunk, lo, hi) in owned_chunks(w, workers, u) {
+                let mut crng = chunk_stream(seeds, u64::from(r), chunk);
                 for j in lo..hi {
                     let key_ball = ball32(j);
                     for _ in 0..k {
@@ -643,13 +510,12 @@ where
                         slot[b].fetch_min(pack(prio, key_ball), Ordering::Relaxed);
                     }
                 }
-            });
+            }
             bar.sync();
             // Phase B: sweep the bins, clear the lotteries, notify the
             // winners of open bins.
             let mut accepts = 0u64;
-            claim_chunks(det, w, workers, chunks_n, &ticket_b, |chunk| {
-                let (lo, hi) = chunk_range(chunk, n as u64);
+            for (_, lo, hi) in owned_chunks(w, workers, n as u64) {
                 for b in lo as usize..hi as usize {
                     // ORDERING: Relaxed — this worker is bin b's
                     // exclusive phase-B sweeper; the phase-A barrier
@@ -672,7 +538,7 @@ where
                         accepted[winner].fetch_min(b as u64, Ordering::Relaxed);
                     }
                 }
-            });
+            }
             // ORDERING: Relaxed — accept-message tally, read by the
             // caller after the scope joins.
             messages.fetch_add(accepts, Ordering::Relaxed);
@@ -680,8 +546,7 @@ where
             // Phase C: notified balls commit to their lowest-indexed
             // accepting bin.
             let mut placed = 0u64;
-            claim_chunks(det, w, workers, chunks_u, &ticket_c, |chunk| {
-                let (lo, hi) = chunk_range(chunk, u);
+            for (_, lo, hi) in owned_chunks(w, workers, u) {
                 for cell in &accepted[lo as usize..hi as usize] {
                     // ORDERING: Relaxed — the ball's exclusive phase-C
                     // cell (settled by the phase-B barrier); unlocked
@@ -696,7 +561,7 @@ where
                     loads[bin as usize].fetch_add(1, Ordering::Relaxed);
                     placed += 1;
                 }
-            });
+            }
             // ORDERING: Relaxed — settled by the end-of-round barrier
             // below before the leader reads it.
             placed_round.fetch_add(placed, Ordering::Relaxed);
@@ -730,8 +595,7 @@ where
 // Parallel greedy
 // ---------------------------------------------------------------------
 
-/// The concurrent parallel-greedy driver, dispatching on `cfg.racy`.
-/// Semantics mirror [`super::parallel_greedy::ParallelGreedy`]'s
+/// The concurrent parallel-greedy driver. Semantics mirror [`super::parallel_greedy::ParallelGreedy`]'s
 /// faithful path: committed candidates drawn up front, negotiation
 /// rounds where every unplaced ball asks its least-loaded candidate
 /// (round-start loads, first minimum in candidate order) and each bin
@@ -758,8 +622,7 @@ where
         "bin ids are u32 in the candidate table"
     );
     let workers = cfg.threads.max(1);
-    let det = !cfg.racy;
-    let engine_seed = rng.next_u64();
+    let seeds = SeedSequence::new(rng.next_u64());
     let want_stages = obs.wants_stage_ends();
     let d_us = d as usize;
 
@@ -773,20 +636,14 @@ where
     let targets: Vec<AtomicU32> = (0..m as usize).map(|_| AtomicU32::new(0)).collect();
     let placed: Vec<AtomicBool> = (0..m as usize).map(|_| AtomicBool::new(false)).collect();
 
-    // Bin shards: loads, plus the deterministic wave lottery slots or
-    // the racy packed (round, admitted) cells.
+    // Bin shards: loads, plus the wave lottery slots.
     // ORDERING: Relaxed throughout (module docs).
     let loads: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-    let slot: Vec<AtomicU64> = if det {
-        (0..n).map(|_| AtomicU64::new(EMPTY)).collect()
-    } else {
-        // ORDERING: Relaxed throughout; racy cells start at round 0.
-        (0..n).map(|_| AtomicU64::new(pack(0, 0))).collect()
-    };
-    // Deterministic wave admission tallies (ORDERING: Relaxed —
-    // barrier-settled), one per wave so no resets or extra barriers
-    // are needed; all workers read a wave's tally after the admit
-    // barrier to agree on early exit.
+    let slot: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(EMPTY)).collect();
+    // Wave admission tallies (ORDERING: Relaxed — barrier-settled),
+    // one per wave so no resets or extra barriers are needed; all
+    // workers read a wave's tally after the admit barrier to agree on
+    // early exit.
     let wave_placed: Vec<AtomicU64> = (0..q as usize).map(|_| AtomicU64::new(0)).collect();
 
     // Control block. ORDERING: Relaxed throughout (module docs).
@@ -797,9 +654,6 @@ where
     let placed_round = AtomicU64::new(0);
     let messages = AtomicU64::new(0);
     let rounds_out = AtomicU32::new(0);
-    // ORDERING: Relaxed throughout — same control-block contract.
-    let ticket_a = AtomicUsize::new(0);
-    let ticket_b = AtomicUsize::new(0);
     let stages: Stages = Mutex::new(Vec::new());
 
     // The faithful tie-break: first minimum in candidate order.
@@ -830,22 +684,13 @@ where
         best
     };
 
-    let chunks_m = m.div_ceil(CHUNK);
-    let chunks_n = (n as u64).div_ceil(CHUNK);
     pool::scoped(workers, |w, bar| {
-        let mut racy_rng = (!det).then(|| worker_rng(engine_seed, w));
-        // Prelude: draw the committed candidates (round-0 streams in
-        // deterministic mode).
-        claim_chunks(det, w, workers, chunks_m, &ticket_a, |chunk| {
-            let (lo, hi) = chunk_range(chunk, m);
-            let mut stream;
-            let crng: &mut dyn Rng64 = match racy_rng.as_mut() {
-                Some(wr) => wr,
-                None => {
-                    stream = chunk_rng(engine_seed, 0, chunk);
-                    &mut stream
-                }
-            };
+        // Prelude: draw the committed candidates from the round-0
+        // streams (protocol rounds start at 1). The top-of-round
+        // barrier below orders these writes before the first target
+        // phase reads them.
+        for (chunk, lo, hi) in owned_chunks(w, workers, m) {
+            let mut crng = chunk_stream(seeds, 0, chunk);
             for j in lo..hi {
                 for t in 0..d_us {
                     let b = crng.range_usize(n);
@@ -857,9 +702,7 @@ where
                     );
                 }
             }
-        });
-        // Quiesce the prelude before the leader resets the tickets.
-        bar.sync();
+        }
 
         // Leader-only bookkeeping. `l_neg_left` counts the remaining
         // negotiation rounds (the faithful `for _ in 1..rounds` loop);
@@ -918,10 +761,6 @@ where
                         // ORDERING: Relaxed — same publication.
                         wp.store(0, Ordering::Relaxed);
                     }
-                    // ORDERING: Relaxed — ticket resets, same
-                    // publication.
-                    ticket_a.store(0, Ordering::Relaxed);
-                    ticket_b.store(0, Ordering::Relaxed);
                 }
             }
             bar.sync();
@@ -937,8 +776,7 @@ where
                 // Forced round, phase 1: pick targets against the
                 // frozen loads — the faithful snapshot semantics fall
                 // out of the phase split (nobody writes loads here).
-                claim_chunks(det, w, workers, chunks_m, &ticket_a, |chunk| {
-                    let (lo, hi) = chunk_range(chunk, m);
+                for (_, lo, hi) in owned_chunks(w, workers, m) {
                     for j in lo..hi {
                         let j_us = j as usize;
                         // ORDERING: Relaxed — flags flipped in earlier
@@ -954,12 +792,11 @@ where
                             Ordering::Relaxed,
                         );
                     }
-                });
+                }
                 bar.sync();
                 // Forced round, phase 2: commutative unconditional
                 // placements.
-                claim_chunks(det, w, workers, chunks_m, &ticket_b, |chunk| {
-                    let (lo, hi) = chunk_range(chunk, m);
+                for (_, lo, hi) in owned_chunks(w, workers, m) {
                     for j in lo..hi {
                         let j_us = j as usize;
                         // ORDERING: Relaxed — see the target phase; the
@@ -971,22 +808,21 @@ where
                         let b = targets[j_us].load(Ordering::Relaxed) as usize;
                         loads[b].fetch_add(1, Ordering::Relaxed);
                     }
-                });
-            } else if det {
-                // Deterministic negotiation round: one fixed 32-bit
-                // priority per ball per round (replayed from the
-                // chunk stream), admitted through `q` lottery waves.
-                // Wave w admits each contested bin's lowest-priority
-                // pending requester; over waves that is a uniform
+                }
+            } else {
+                // Negotiation round: one fixed 32-bit priority per
+                // ball per round (replayed from the chunk stream),
+                // admitted through `q` lottery waves. Wave w admits
+                // each contested bin's lowest-priority pending
+                // requester; over waves that is a uniform
                 // without-replacement subset — the faithful
                 // shuffle-take(q) law. Every ball draws its priority
                 // in every sweep/admit pass (placed or not) to keep
                 // the replay streams aligned.
                 for (wave, wave_tally) in wave_placed.iter().enumerate().take(q as usize) {
                     // Sweep: pending requesters submit to their target.
-                    claim_chunks(true, w, workers, chunks_m, &ticket_a, |chunk| {
-                        let (lo, hi) = chunk_range(chunk, m);
-                        let mut stream = chunk_rng(engine_seed, r, chunk);
+                    for (chunk, lo, hi) in owned_chunks(w, workers, m) {
+                        let mut stream = chunk_stream(seeds, u64::from(r), chunk);
                         for j in lo..hi {
                             let prio = stream.next_u32();
                             let j_us = j as usize;
@@ -1017,7 +853,7 @@ where
                                 slot[t].fetch_min(key, Ordering::Relaxed);
                             }
                         }
-                    });
+                    }
                     bar.sync();
                     // Admit: sweep the bins; a contested bin's
                     // surviving key names the wave winner, the sweeper
@@ -1028,8 +864,7 @@ where
                     // whole pass runs on unlocked sequential loads and
                     // stores (no priority replay, no locked RMWs).
                     let mut placed_acc = 0u64;
-                    claim_chunks(true, w, workers, chunks_n, &ticket_b, |chunk| {
-                        let (lo, hi) = chunk_range(chunk, n as u64);
+                    for (_, lo, hi) in owned_chunks(w, workers, n as u64) {
                         for t in lo as usize..hi as usize {
                             // ORDERING: Relaxed — this worker is bin
                             // t's exclusive admit sweeper; the sweep
@@ -1048,7 +883,7 @@ where
                             placed[lo32(key) as usize].store(true, Ordering::Relaxed);
                             placed_acc += 1;
                         }
-                    });
+                    }
                     // ORDERING: Relaxed — tallies read by every worker
                     // after the admit barrier below.
                     wave_tally.fetch_add(placed_acc, Ordering::Relaxed);
@@ -1063,72 +898,6 @@ where
                         break;
                     }
                 }
-            } else {
-                // Racy negotiation round, phase 1: targets against
-                // frozen loads (no randomness — candidate order breaks
-                // ties).
-                claim_chunks(false, w, workers, chunks_m, &ticket_a, |chunk| {
-                    let (lo, hi) = chunk_range(chunk, m);
-                    for j in lo..hi {
-                        let j_us = j as usize;
-                        // ORDERING: Relaxed — barrier-ordered flags.
-                        if placed[j_us].load(Ordering::Relaxed) {
-                            continue;
-                        }
-                        let b = best_candidate(j_us, r == 1);
-                        // ORDERING: Relaxed — read after the phase
-                        // barrier.
-                        targets[j_us].store(
-                            u32::try_from(b).expect("bin ids fit u32 (n is asserted on entry)"),
-                            Ordering::Relaxed,
-                        );
-                    }
-                });
-                bar.sync();
-                // Racy phase 2: first-come admission through a packed
-                // (round, admitted-count) cell — at most `q` per bin,
-                // ordered by CAS contention.
-                let mut placed_acc = 0u64;
-                claim_chunks(false, w, workers, chunks_m, &ticket_b, |chunk| {
-                    let (lo, hi) = chunk_range(chunk, m);
-                    for j in lo..hi {
-                        let j_us = j as usize;
-                        // ORDERING: Relaxed — barrier-ordered flags.
-                        if placed[j_us].load(Ordering::Relaxed) {
-                            continue;
-                        }
-                        // ORDERING: Relaxed — the phase-1 target.
-                        let t = targets[j_us].load(Ordering::Relaxed) as usize;
-                        // RETRY: terminates because the cell's
-                        // admitted count for this round only grows;
-                        // once it reaches `q` the closure returns None
-                        // and the loop exits, and before that each
-                        // failed CAS re-reads a strictly larger count,
-                        // so attempts are bounded by `q` plus the
-                        // concurrent claimants on this bin.
-                        // ORDERING: Relaxed — the admission claim
-                        // publishes nothing but itself. A stale round
-                        // in the cell means zero admissions so far, so
-                        // cells never need clearing between rounds.
-                        let admit =
-                            slot[t].fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
-                                let (claim_round, count) = (hi32(s), lo32(s));
-                                let count = if claim_round == r { count } else { 0 };
-                                (count < q).then(|| pack(r, count + 1))
-                            });
-                        if admit.is_ok() {
-                            // ORDERING: Relaxed — commutative tally
-                            // plus this ball's own flag.
-                            loads[t].fetch_add(1, Ordering::Relaxed);
-                            placed[j_us].store(true, Ordering::Relaxed);
-                            placed_acc += 1;
-                        }
-                    }
-                });
-                // ORDERING: Relaxed — accumulators settled by the
-                // end-of-round barrier.
-                placed_round.fetch_add(placed_acc, Ordering::Relaxed);
-                messages.fetch_add(placed_acc, Ordering::Relaxed);
             }
             bar.sync();
         }
@@ -1156,22 +925,18 @@ mod tests {
     use bib_core::protocol::{Engine, NullObserver, Protocol, RunConfig, StageTrace};
     use bib_rng::SeedSequence;
 
-    fn cfg(n: usize, m: u64, threads: usize, racy: bool) -> RunConfig {
+    fn cfg(n: usize, m: u64, threads: usize) -> RunConfig {
         RunConfig::new(n, m)
             .with_engine(Engine::Concurrent)
             .with_threads(threads)
-            .with_racy(racy)
     }
 
     #[test]
     fn collision_smoke_all_modes() {
-        for (threads, racy) in [(1, false), (3, false), (3, true)] {
+        for threads in [1, 3] {
             let mut rng = SeedSequence::new(11).rng();
-            let out = Collision::new(1).allocate(
-                &cfg(512, 512, threads, racy),
-                &mut rng,
-                &mut NullObserver,
-            );
+            let out =
+                Collision::new(1).allocate(&cfg(512, 512, threads), &mut rng, &mut NullObserver);
             out.validate();
             assert!(out.rounds() >= 1);
             assert_eq!(
@@ -1187,13 +952,10 @@ mod tests {
 
     #[test]
     fn bounded_load_smoke_and_capacity() {
-        for (threads, racy) in [(1, false), (4, false), (4, true)] {
+        for threads in [1, 4] {
             let mut rng = SeedSequence::new(12).rng();
-            let out = BoundedLoad::new(2).allocate(
-                &cfg(128, 256, threads, racy),
-                &mut rng,
-                &mut NullObserver,
-            );
+            let out =
+                BoundedLoad::new(2).allocate(&cfg(128, 256, threads), &mut rng, &mut NullObserver);
             out.validate();
             // m = cap·n: every slot must fill.
             assert_eq!(out.loads, vec![2u32; 128]);
@@ -1203,10 +965,10 @@ mod tests {
 
     #[test]
     fn greedy_smoke_places_everything() {
-        for (threads, racy) in [(1, false), (4, false), (4, true)] {
+        for threads in [1, 4] {
             let mut rng = SeedSequence::new(13).rng();
             let out = ParallelGreedy::new(2, 3, 1).allocate(
-                &cfg(256, 256, threads, racy),
+                &cfg(256, 256, threads),
                 &mut rng,
                 &mut NullObserver,
             );
@@ -1225,7 +987,7 @@ mod tests {
 
     #[test]
     fn zero_balls_all_drivers() {
-        let c = cfg(8, 0, 4, false);
+        let c = cfg(8, 0, 4);
         let mut rng = SeedSequence::new(14).rng();
         for out in [
             Collision::new(1).allocate(&c, &mut rng, &mut NullObserver),
@@ -1240,7 +1002,7 @@ mod tests {
 
     #[test]
     fn stage_trace_fires_once_per_round() {
-        let c = cfg(128, 128, 3, false);
+        let c = cfg(128, 128, 3);
         let mut rng = SeedSequence::new(15).rng();
         let mut trace = StageTrace::new();
         let out = BoundedLoad::new(2).allocate(&c, &mut rng, &mut trace);
@@ -1254,7 +1016,7 @@ mod tests {
         // n = 1, m = 2, c = 1: both balls collide forever until the
         // stall fallback places them one-choice.
         let mut rng = SeedSequence::new(16).rng();
-        let out = Collision::new(1).allocate(&cfg(1, 2, 2, false), &mut rng, &mut NullObserver);
+        let out = Collision::new(1).allocate(&cfg(1, 2, 2), &mut rng, &mut NullObserver);
         out.validate();
         assert_eq!(out.loads, vec![2]);
         assert_eq!(

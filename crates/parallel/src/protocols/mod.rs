@@ -26,9 +26,8 @@
 //! multiplicity · #occupancy classes)` per round, independent of the
 //! contact count; and the *sharded concurrent engine*
 //! ([`concurrent`](self)), which runs one run across
-//! `RunConfig::threads` workers over atomic bin shards, with a
-//! bit-reproducible deterministic mode and an explicitly nondeterministic
-//! `racy` mode.
+//! `RunConfig::threads` workers over atomic bin shards and stays
+//! bit-identical at every thread count.
 //!
 //! The mapping onto the sequential record:
 //!

@@ -9,7 +9,7 @@
 //! ```text
 //! tick:  [leader: faults, params, arrivals count, due retries]
 //!        barrier
-//!        [all: snapshot copy of live loads]          (deterministic)
+//!        [all: snapshot copy of live loads]          (chunked bins)
 //!        barrier
 //!        [all: place due retries + fresh arrivals]   (chunked items)
 //!        barrier
@@ -21,17 +21,15 @@
 //!
 //! # Determinism across thread counts
 //!
-//! In deterministic mode (the default) every random decision is a pure
-//! function of `(seed, tick, chunk)`: items and bins are claimed by
-//! static chunk ownership (`chunk % workers == w`), each chunk draws
+//! Every random decision is a pure function of `(seed, tick, chunk)`:
+//! items and bins are split by static chunk ownership
+//! (`chunk % workers == w`, see `shard.rs`), each chunk draws
 //! from its own seed-derived stream, placements read the tick-start
 //! *snapshot* and commit with commutative `fetch_add`s, and the retry
 //! queue is rebuilt by the leader in global item order. The result —
 //! every load, every counter, the whole [`TickStats`] series — is
-//! bit-identical for 1, 2 or 4 workers (regression-tested). `--racy`
-//! trades that away: per-worker streams and live-load reads, racy by
-//! construction but still degraded-never-wedged (shed/fallback
-//! semantics are enforced identically).
+//! bit-identical for 1, 2 or 4 workers (regression-tested, and pinned
+//! by `tests/concurrent_golden.rs`).
 //!
 //! The adaptive/threshold acceptance bound is frozen at tick start
 //! (superstep semantics): `in_system` and the alive count are leader
@@ -42,6 +40,7 @@
 //! bin costs the probe and forces a re-draw, a slow bin costs an extra
 //! sample.
 
+use crate::shard::{chunk_stream, owned_chunks, unwrap_loads};
 use bib_core::faults::BinState;
 use bib_core::loads::Loads;
 use bib_core::protocol::{Outcome, RunConfig};
@@ -49,14 +48,11 @@ use bib_core::scenario::{strict_int_bound, Family, Scenario};
 use bib_core::stream::{
     arrival_count, stream_name, LatencyTail, StreamReport, StreamSpec, TickStats,
 };
-use bib_rng::{Rng64, RngExt, SeedSequence, Xoshiro256PlusPlus};
+use bib_rng::{Rng64, RngExt, SeedSequence};
 use crossbeam::pool;
 // ORDERING: import only; every use site documents its own ordering.
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// Items (balls) and bins are sharded in chunks of this size.
-const CHUNK: u64 = 4096;
 
 /// A ball awaiting placement: attempts so far and samples already
 /// spent (carried across retries for the latency tail).
@@ -76,23 +72,10 @@ enum Style {
     LeastOf(u32),
 }
 
-fn chunk_stream(engine_seed: u64, label: &str, tick: u64, chunk: u64) -> Xoshiro256PlusPlus {
-    SeedSequence::new(engine_seed)
-        .child_str(label)
-        .child(tick)
-        .child(chunk)
-        .rng()
-}
-
-fn chunk_range(chunk: u64, items: u64) -> (u64, u64) {
-    let lo = chunk * CHUNK;
-    (lo, (lo + CHUNK).min(items))
-}
-
 /// Runs a stream on the dense sharded engine with `cfg.threads`
 /// workers, returning the same [`StreamReport`] surface as the serial
 /// [`bib_core::stream::serve`]. Deterministic in `(seed, spec, cfg)`
-/// and independent of the worker count unless `cfg.racy`.
+/// and independent of the worker count.
 pub fn serve_concurrent(
     spec: &StreamSpec,
     family: Family,
@@ -106,11 +89,12 @@ pub fn serve_concurrent(
     assert!(retry.probe_budget >= 1, "probe budget must be ≥ 1");
     assert!(retry.retry_budget >= 1, "retry budget must be ≥ 1");
     let workers = cfg.threads.max(1);
-    let det = !cfg.racy;
     let budget = u64::from(retry.probe_budget);
     let ring_len = retry.backoff_cap.max(1) as u64 + 1;
     let name = stream_name(family);
     let engine_seed = SeedSequence::new(seed).child_str(&name).rng().next_u64();
+    let place_seeds = SeedSequence::new(engine_seed).child_str("place");
+    let depart_seeds = SeedSequence::new(engine_seed).child_str("depart");
 
     // Dense bin shards. ORDERING: Relaxed throughout this driver — each
     // phase either only writes its own chunk (snapshot copy,
@@ -164,12 +148,6 @@ pub fn serve_concurrent(
             leader.then(|| SeedSequence::new(engine_seed).child_str("arrivals").rng());
         let mut alive_n = n as u64;
         // Worker-persistent state.
-        let mut racy_rng = (!det).then(|| {
-            SeedSequence::new(engine_seed)
-                .child_str("racy")
-                .child(w as u64)
-                .rng()
-        });
         let mut due_local: Vec<Pending> = Vec::new();
         let mut fails_local: Vec<(u64, Pending)> = Vec::new();
         let mut local_latency = LatencyTail::new();
@@ -230,17 +208,13 @@ pub fn serve_concurrent(
             }
             bar.sync();
 
-            // Snapshot phase (deterministic mode): freeze tick-start
-            // loads so placement decisions are interleaving-free.
-            if det {
-                let bin_chunks = (n as u64).div_ceil(CHUNK);
-                for chunk in (w as u64..bin_chunks).step_by(workers) {
-                    let (lo, hi) = chunk_range(chunk, n as u64);
-                    for b in lo as usize..hi as usize {
-                        // ORDERING: Relaxed — exclusive chunk owner;
-                        // settled by the barriers around this phase.
-                        snapshot[b].store(loads[b].load(Ordering::Relaxed), Ordering::Relaxed);
-                    }
+            // Snapshot phase: freeze tick-start loads so placement
+            // decisions are interleaving-free.
+            for (_, lo, hi) in owned_chunks(w, workers, n as u64) {
+                for b in lo as usize..hi as usize {
+                    // ORDERING: Relaxed — exclusive chunk owner;
+                    // settled by the barriers around this phase.
+                    snapshot[b].store(loads[b].load(Ordering::Relaxed), Ordering::Relaxed);
                 }
             }
             bar.sync();
@@ -264,22 +238,13 @@ pub fn serve_concurrent(
                 due_local.clear();
                 due_local.extend_from_slice(&due_shared.lock().expect("due lock"));
             }
-            let item_chunks = total_items.div_ceil(CHUNK);
             let mut placed = 0u64;
             let mut shed = 0u64;
             let mut fellback = 0u64;
             let mut samples_spent = 0u64;
             let mut samples_peak = 0u64;
-            for chunk in (w as u64..item_chunks).step_by(workers) {
-                let (lo, hi) = chunk_range(chunk, total_items);
-                let mut stream;
-                let crng: &mut dyn Rng64 = match racy_rng.as_mut() {
-                    Some(wr) => wr,
-                    None => {
-                        stream = chunk_stream(engine_seed, "place", tick, chunk);
-                        &mut stream
-                    }
-                };
+            for (chunk, lo, hi) in owned_chunks(w, workers, total_items) {
+                let mut crng = chunk_stream(place_seeds, tick, chunk);
                 for i in lo..hi {
                     let mut ball = if i < due_n {
                         due_local[i as usize]
@@ -302,15 +267,9 @@ pub fn serve_concurrent(
                             continue;
                         }
                         samples += st.contact_cost();
-                        // ORDERING: Relaxed — deterministic mode reads
-                        // the frozen snapshot, racy mode the live loads.
-                        let load = if det {
-                            snapshot[b].load(Ordering::Relaxed)
-                        } else {
-                            // ORDERING: Relaxed — racy mode accepts
-                            // stale/racing loads by design.
-                            loads[b].load(Ordering::Relaxed)
-                        };
+                        // ORDERING: Relaxed — the snapshot is frozen
+                        // for the whole placement phase.
+                        let load = snapshot[b].load(Ordering::Relaxed);
                         let commit = match style {
                             Style::Uniform => Some(b),
                             Style::Below(t) => (load < t).then_some(b),
@@ -368,18 +327,9 @@ pub fn serve_concurrent(
             // probability p; dead bins freeze. Exclusive chunk
             // ownership makes the plain load/store safe.
             if spec.depart_prob > 0.0 {
-                let bin_chunks = (n as u64).div_ceil(CHUNK);
                 let mut departed = 0u64;
-                for chunk in (w as u64..bin_chunks).step_by(workers) {
-                    let (lo, hi) = chunk_range(chunk, n as u64);
-                    let mut stream;
-                    let crng: &mut dyn Rng64 = match racy_rng.as_mut() {
-                        Some(wr) => wr,
-                        None => {
-                            stream = chunk_stream(engine_seed, "depart", tick, chunk);
-                            &mut stream
-                        }
-                    };
+                for (chunk, lo, hi) in owned_chunks(w, workers, n as u64) {
+                    let mut crng = chunk_stream(depart_seeds, tick, chunk);
                     for b in lo as usize..hi as usize {
                         // ORDERING: Relaxed — states are frozen outside
                         // the leader phase; loads owned by this chunk.
@@ -389,7 +339,7 @@ pub fn serve_concurrent(
                             let gone: u32 = bib_core::histogram::split_binomial(
                                 u64::from(load),
                                 spec.depart_prob,
-                                crng,
+                                &mut crng,
                             )
                             .try_into()
                             .expect("binomial sample bounded by its u32 trial count");
@@ -470,7 +420,7 @@ pub fn serve_concurrent(
     let wall = start.elapsed();
 
     // ORDERING: the pool has joined — into_inner takes unique ownership.
-    let loads: Vec<u32> = loads.into_iter().map(AtomicU32::into_inner).collect();
+    let loads = unwrap_loads(loads);
     let arrivals = arrivals_total.into_inner();
     let departed = departed_total.into_inner();
     let shed = shed_total.into_inner();
@@ -506,8 +456,8 @@ mod tests {
     use bib_core::faults::FaultPlan;
     use bib_core::stream::RetryPolicy;
 
-    fn cfg(n: usize, m: u64, threads: usize, racy: bool) -> RunConfig {
-        RunConfig::new(n, m).with_threads(threads).with_racy(racy)
+    fn cfg(n: usize, m: u64, threads: usize) -> RunConfig {
+        RunConfig::new(n, m).with_threads(threads)
     }
 
     #[test]
@@ -520,10 +470,10 @@ mod tests {
                 backoff_cap: 4,
                 fallback_alive_frac: 0.6,
             });
-        let c = cfg(512, 60 * 128, 1, false);
+        let c = cfg(512, 60 * 128, 1);
         let base = serve_concurrent(&spec, Family::Greedy(2), &c, 41);
         for threads in [2usize, 4] {
-            let c = cfg(512, 60 * 128, threads, false);
+            let c = cfg(512, 60 * 128, threads);
             let run = serve_concurrent(&spec, Family::Greedy(2), &c, 41);
             assert_eq!(run.outcome.loads, base.outcome.loads, "{threads} threads");
             assert_eq!(
@@ -537,7 +487,7 @@ mod tests {
     }
 
     #[test]
-    fn racy_mode_still_degrades_gracefully() {
+    fn four_workers_still_degrade_gracefully() {
         let spec = StreamSpec::new(50, 0.05)
             .with_faults(FaultPlan::mass_failure(15, 0.6, 35, 3))
             .with_retry(RetryPolicy {
@@ -546,7 +496,7 @@ mod tests {
                 backoff_cap: 4,
                 fallback_alive_frac: 0.7,
             });
-        let c = cfg(256, 50 * 64, 4, true);
+        let c = cfg(256, 50 * 64, 4);
         let report = serve_concurrent(&spec, Family::Adaptive, &c, 5);
         report.outcome.validate();
         let s = &report.outcome.scenario;
@@ -557,7 +507,7 @@ mod tests {
     #[test]
     fn fault_free_stream_conserves_and_balances() {
         let spec = StreamSpec::new(40, 0.0).deterministic();
-        let c = cfg(128, 40 * 32, 2, false);
+        let c = cfg(128, 40 * 32, 2);
         let report = serve_concurrent(&spec, Family::OneChoice, &c, 8);
         assert_eq!(report.outcome.m, 40 * 32);
         assert_eq!(report.outcome.scenario.shed, 0);

@@ -2,19 +2,16 @@
 //!
 //! Two claims (see `bib_parallel::protocols::concurrent`):
 //!
-//! * **Deterministic mode** is bit-reproducible across thread counts —
-//!   the same seed gives the *identical* outcome at `threads = 1, 2, 8`
-//!   — and induces the same distribution as `Engine::Faithful` on the
+//! * The engine is bit-reproducible across thread counts — the same
+//!   seed gives the *identical* outcome at `threads = 1, 2, 8`.
+//! * It induces the same distribution as `Engine::Faithful` on the
 //!   outcome marginals (it reproduces each faithful path's per-round
-//!   law exactly, from different streams).
-//! * **Racy mode** (`RunConfig::racy`) trades reproducibility for
-//!   contention-ordered placements; it must still match the faithful
-//!   law distributionally. Checked by two-sample chi-square on the
-//!   max-load, rounds and messages marginals.
+//!   law exactly, from different streams). Checked by two-sample
+//!   chi-square on the max-load, rounds and messages marginals.
 //!
 //! Plus the plumbing: stage traces fire once per round on the
-//! concurrent path, sure invariants hold in both modes, and `Auto`
-//! promotes to `Concurrent` when threads are requested.
+//! concurrent path, sure invariants hold serially and threaded, and
+//! `Auto` promotes to `Concurrent` when threads are requested.
 
 use bib_analysis::chisq::chi_square_sf;
 use bib_core::prelude::*;
@@ -70,7 +67,6 @@ fn vs_faithful_histograms<P, F>(
     proto: &P,
     n: usize,
     m: u64,
-    racy: bool,
     reps: u64,
     cells: usize,
     stat: F,
@@ -83,8 +79,7 @@ where
         RunConfig::new(n, m).with_engine(Engine::Faithful),
         RunConfig::new(n, m)
             .with_engine(Engine::Concurrent)
-            .with_threads(3)
-            .with_racy(racy),
+            .with_threads(3),
     ];
     let mut hists = Vec::new();
     for (which, cfg) in configs.iter().enumerate() {
@@ -105,24 +100,23 @@ where
 }
 
 /// Asserts the three standard marginals match the faithful law.
-fn assert_marginals_match<P: Protocol>(proto: &P, racy: bool, msg_floor: u64, msg_step: u64) {
+fn assert_marginals_match<P: Protocol>(proto: &P, msg_floor: u64, msg_step: u64) {
     let (n, m, reps) = (1024usize, 1024u64, 300u64);
-    let label = if racy { "racy" } else { "deterministic" };
-    let (a, b) = vs_faithful_histograms(proto, n, m, racy, reps, 12, |o| o.max_load() as usize);
+    let (a, b) = vs_faithful_histograms(proto, n, m, reps, 12, |o| o.max_load() as usize);
     let p = two_sample_p(&a, &b);
-    assert!(p > ALPHA, "{label} max-load: p = {p:.2e} ({a:?} vs {b:?})");
-    let (a, b) = vs_faithful_histograms(proto, n, m, racy, reps, 16, |o| o.rounds() as usize);
+    assert!(p > ALPHA, "max-load: p = {p:.2e} ({a:?} vs {b:?})");
+    let (a, b) = vs_faithful_histograms(proto, n, m, reps, 16, |o| o.rounds() as usize);
     let p = two_sample_p(&a, &b);
-    assert!(p > ALPHA, "{label} rounds: p = {p:.2e} ({a:?} vs {b:?})");
-    let (a, b) = vs_faithful_histograms(proto, n, m, racy, reps, 40, |o| {
+    assert!(p > ALPHA, "rounds: p = {p:.2e} ({a:?} vs {b:?})");
+    let (a, b) = vs_faithful_histograms(proto, n, m, reps, 40, |o| {
         (o.messages().saturating_sub(msg_floor) / msg_step) as usize
     });
     let p = two_sample_p(&a, &b);
-    assert!(p > ALPHA, "{label} messages: p = {p:.2e} ({a:?} vs {b:?})");
+    assert!(p > ALPHA, "messages: p = {p:.2e} ({a:?} vs {b:?})");
 }
 
 // ---------------------------------------------------------------------
-// Bit-reproducibility across thread counts (deterministic mode).
+// Bit-reproducibility across thread counts.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -184,32 +178,17 @@ fn auto_with_threads_promotes_to_concurrent() {
 
 #[test]
 fn collision_deterministic_marginals_match() {
-    assert_marginals_match(&Collision::new(1), false, 2 * 1024, 1024 / 24);
-}
-
-#[test]
-fn collision_racy_marginals_match() {
-    assert_marginals_match(&Collision::new(1), true, 2 * 1024, 1024 / 24);
+    assert_marginals_match(&Collision::new(1), 2 * 1024, 1024 / 24);
 }
 
 #[test]
 fn bounded_load_deterministic_marginals_match() {
-    assert_marginals_match(&BoundedLoad::new(2), false, 1024, 1024 / 12);
-}
-
-#[test]
-fn bounded_load_racy_marginals_match() {
-    assert_marginals_match(&BoundedLoad::new(2), true, 1024, 1024 / 12);
+    assert_marginals_match(&BoundedLoad::new(2), 1024, 1024 / 12);
 }
 
 #[test]
 fn parallel_greedy_deterministic_marginals_match() {
-    assert_marginals_match(&ParallelGreedy::new(2, 4, 1), false, 1024, 1024 / 16);
-}
-
-#[test]
-fn parallel_greedy_racy_marginals_match() {
-    assert_marginals_match(&ParallelGreedy::new(2, 4, 1), true, 1024, 1024 / 16);
+    assert_marginals_match(&ParallelGreedy::new(2, 4, 1), 1024, 1024 / 16);
 }
 
 // ---------------------------------------------------------------------
@@ -218,12 +197,12 @@ fn parallel_greedy_racy_marginals_match() {
 
 #[test]
 fn concurrent_invariants_both_modes() {
-    for racy in [false, true] {
+    // Both modes: one worker, and four sharing the run.
+    for threads in [1usize, 4] {
         for (n, m) in [(1usize, 3u64), (2, 2), (8, 8), (100, 100), (5000, 5000)] {
             let cfg = RunConfig::new(n, m)
                 .with_engine(Engine::Concurrent)
-                .with_threads(4)
-                .with_racy(racy);
+                .with_threads(threads);
             let out = run_protocol(&Collision::new(1), &cfg, n as u64);
             out.validate();
             assert_eq!(out.scenario.label(), "parallel");
@@ -243,12 +222,11 @@ fn concurrent_invariants_both_modes() {
 
 #[test]
 fn concurrent_exact_fill_at_capacity() {
-    // m = cap·n: every slot must fill, surely, in both modes.
-    for racy in [false, true] {
+    // m = cap·n: every slot must fill, surely, serially and threaded.
+    for threads in [1usize, 4] {
         let cfg = RunConfig::new(64, 128)
             .with_engine(Engine::Concurrent)
-            .with_threads(4)
-            .with_racy(racy);
+            .with_threads(threads);
         let out = run_protocol(&BoundedLoad::new(2), &cfg, 9);
         assert_eq!(out.loads, vec![2u32; 64]);
     }
@@ -256,11 +234,10 @@ fn concurrent_exact_fill_at_capacity() {
 
 #[test]
 fn concurrent_stage_traces_fire_once_per_round() {
-    for racy in [false, true] {
+    for threads in [1usize, 3] {
         let cfg = RunConfig::new(256, 256)
             .with_engine(Engine::Concurrent)
-            .with_threads(3)
-            .with_racy(racy);
+            .with_threads(threads);
         for proto in [
             Box::new(Collision::new(1)) as Box<dyn DynProtocol>,
             Box::new(BoundedLoad::new(2)),
@@ -271,7 +248,7 @@ fn concurrent_stage_traces_fire_once_per_round() {
             assert_eq!(
                 trace.stages,
                 (1..=out.rounds() as u64).collect::<Vec<_>>(),
-                "{} (racy={racy})",
+                "{} ({threads} threads)",
                 out.protocol
             );
             // The last trace frame is the final state: its gap matches.

@@ -7,7 +7,7 @@
 //!     [--seed 2013] [--engine auto|faithful|histogram|concurrent] [--reps 1] [--trace]
 //! balls-into-bins serve --n 100000 --arrivals 10000000 --ticks 1000 \
 //!     [--depart 0.05] [--family greedy[2]] [--faults crash@200:0.5,recover@400:all] \
-//!     [--threads 4] [--racy] [--seed 2013] [--series] [--poisson] \
+//!     [--threads 4] [--seed 2013] [--series] [--poisson] \
 //!     [--probe-budget 16] [--retry-budget 4] [--backoff-cap 8] [--fallback-frac 0.5]
 //! ```
 //!
@@ -24,8 +24,8 @@
 //! probability `--depart` per tick, and `--faults` injects seeded
 //! crash/drain/slow/recover events (grammar `kind@tick:frac[,...]`,
 //! `frac` in (0,1] or `all`). `--threads k` with `k > 1` uses the
-//! dense sharded engine, bit-identical across thread counts unless
-//! `--racy`. Prints a summary line; `--series` dumps the per-tick CSV
+//! dense sharded engine, bit-identical across thread counts. Prints a
+//! summary line; `--series` dumps the per-tick CSV
 //! (tick, in-system, gap, max load, alive ppm, cumulative counters).
 
 use balls_into_bins::core::prelude::*;
@@ -54,7 +54,7 @@ fn usage() -> ! {
          [--seed <u64>] [--engine auto|faithful|histogram|concurrent] [--reps <count>] [--trace]\n  \
          balls-into-bins serve --n <bins> --arrivals <balls> --ticks <ticks>\n      \
          [--depart <p>] [--family one-choice|greedy[d]|adaptive|threshold] [--poisson]\n      \
-         [--faults kind@tick:frac[,...]] [--threads <k>] [--racy] [--seed <u64>] [--series]\n      \
+         [--faults kind@tick:frac[,...]] [--threads <k>] [--seed <u64>] [--series]\n      \
          [--probe-budget <u>] [--retry-budget <u>] [--backoff-cap <u>] [--fallback-frac <f>]\n\n\
          protocols: {}",
         PROTOCOLS.join(", ")
@@ -238,7 +238,6 @@ fn main() {
             let mut faults = None;
             let mut seed = 2013u64;
             let mut threads = 1usize;
-            let mut racy = false;
             let mut poisson = false;
             let mut series = false;
             let mut retry = RetryPolicy::default();
@@ -250,7 +249,6 @@ fn main() {
                     "--depart" => depart = parse_f64(args.next(), "--depart"),
                     "--seed" => seed = parse_u64(args.next(), "--seed"),
                     "--threads" => threads = parse_u64(args.next(), "--threads") as usize,
-                    "--racy" => racy = true,
                     "--poisson" => poisson = true,
                     "--series" => series = true,
                     "--probe-budget" => {
@@ -303,9 +301,7 @@ fn main() {
                 .with_faults(plan)
                 .with_retry(retry);
             spec.poisson = poisson;
-            let cfg = RunConfig::new(n, arrivals)
-                .with_threads(threads)
-                .with_racy(racy);
+            let cfg = RunConfig::new(n, arrivals).with_threads(threads);
             let report = if threads > 1 {
                 balls_into_bins::parallel::serve_concurrent(&spec, family, &cfg, seed)
             } else {

@@ -196,7 +196,7 @@ fn gap_returns_to_pre_fault_band_after_mass_failure() {
 }
 
 #[test]
-fn racy_faulted_stream_completes_and_counts_degradation() {
+fn four_worker_faulted_stream_completes_and_counts_degradation() {
     let spec = StreamSpec::new(60, 0.05)
         .with_faults(FaultPlan::mass_failure(20, 0.6, 40, 3))
         .with_retry(RetryPolicy {
@@ -205,7 +205,7 @@ fn racy_faulted_stream_completes_and_counts_degradation() {
             backoff_cap: 4,
             fallback_alive_frac: 0.7,
         });
-    let cfg = RunConfig::new(300, 60 * 80).with_threads(4).with_racy(true);
+    let cfg = RunConfig::new(300, 60 * 80).with_threads(4);
     let report = serve_concurrent(&spec, Family::Greedy(2), &cfg, 31);
     report.outcome.validate();
     let s = &report.outcome.scenario;
