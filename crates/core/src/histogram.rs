@@ -21,19 +21,20 @@
 //! rejections, and the rejected overflow re-enters the next round. The
 //! hits land in two steps:
 //!
-//! 1. the round's hits split over the occupancy *classes* with a chain
-//!    of conditional binomials (one draw per distinct load, not per
-//!    bin);
-//! 2. within a class of `c` exchangeable bins receiving `h` hits, the
-//!    per-bin hit multiplicities are resolved by `scatter_class`:
-//!    exactly for small classes (`c ≤ 64`: per-bin binomial chain) and
-//!    small intakes (`h ≤ 64`: per-hit collision walk), and for large
-//!    classes by *occupancy-cell sampling* — the number of bins with
-//!    exactly `j` hits is drawn as `Binomial(c_rem, pmf_j/tail_j)` of
-//!    the exact `Bin(h, 1/c)` marginal (an exact multinomial over that
-//!    marginal), followed by a proportional single-level repair of the
-//!    sum drift so mass conservation and the capacity bound hold
-//!    surely.
+//! 1. the round's *occupancy profile* over the whole open set —
+//!    `cells[j]` = number of open bins receiving exactly `j` hits — is
+//!    drawn by [`occupancy_profile`]: exactly for small intakes
+//!    (`h ≤ 64`: per-hit collision walk) and small open sets (`k ≤ 64`:
+//!    per-bin binomial chain), and otherwise by a hazard walk over
+//!    i.i.d. `Poisson(h/k)` counts (an exact multinomial over that
+//!    marginal — given their sum, the occupancy of that many uniform
+//!    hits) followed by one repair that removes or adds uniform hits
+//!    until `Σ j·cells[j] = h`, surely;
+//! 2. each multiplicity group of `cells[j]` bins is spread over the
+//!    occupancy classes without replacement by [`block_composition`]
+//!    (exact for small groups and small open sets, a moment-matched
+//!    hypergeometric chain otherwise), and a bin at load `ℓ` keeps
+//!    `min(j, t − ℓ)` of its hits — the capacity bound holds surely.
 //!
 //! Once fewer than a small cutoff of balls remain, the tail runs the
 //! *exact* collapsed Markov chain, one ball at a time: pick a class with
@@ -55,13 +56,19 @@
 //! # What is and is not preserved
 //!
 //! *Final loads*: exact in distribution for `greedy[d]` at every size,
-//! for every per-ball tail, and for every scatter below the exact-path
-//! thresholds; the large-class cell sampling and the wide conditional
-//! splits (rounded-normal above a variance floor) are moment-exact
-//! approximations — expected cell counts sit at their exact marginals,
-//! mass conservation and the `⌈m/n⌉+1` capacity bound hold surely —
-//! whose residual error the chi-square suite in
-//! `tests/histogram_equivalence.rs` bounds against the faithful engine.
+//! for every per-ball tail, and for every round whose profile and group
+//! spread both sit below the exact-path thresholds (in particular every
+//! round with at most 64 open bins); the large-profile walk (its
+//! rounded-normal links, and the chain passes of repairs above 64
+//! hits) and the wide hypergeometric splits (rounded-normal above a
+//! variance floor) are moment-exact approximations — expected cell
+//! counts sit at their exact marginals, mass conservation and the
+//! `⌈m/n⌉+1` capacity bound hold surely — whose residual error the
+//! chi-square suite in `tests/histogram_equivalence.rs` bounds against
+//! the faithful engine. The rejected overflow of a round is whatever
+//! the drawn profile exceeds the per-level caps by, so the re-thrown
+//! mass — and with it the allocation time — carries the profile's own
+//! error and nothing else.
 //! *Bin identities*: synthetic — and **lazy**: a no-observer run
 //! returns the histogram itself plus a reconstruction seed
 //! ([`crate::loads::Loads`]), and a concrete vector is only built if a
@@ -87,20 +94,24 @@ use bib_rng::{Rng64, RngExt, SeedSequence, SplitMix64};
 /// fixed `O(#levels)` cost and the exact per-ball tail takes over.
 const ROUND_CUTOFF: u64 = 32;
 
-/// Multiplicity groups of at most this many bins are assigned to their
-/// levels one bin at a time (exact sequential hypergeometric); larger
-/// groups run the level chain, whose draws amortise over the group.
+/// Groups of at most this many bins are assigned to their classes one
+/// exact uniform pick at a time (and hypergeometric draws of at most
+/// this many items run sequentially); larger groups run the class
+/// chain, whose draws amortise over the group.
 const PER_HIT_SPLIT: u64 = 8;
 
-/// Classes with at most this many bins scatter their hits with an exact
-/// per-bin binomial chain, so small runs never touch the approximate
-/// cell sampling (the small-case equivalence tests rely on this).
+/// Profiles over at most this many bins come from an exact per-bin
+/// binomial chain, and hypergeometric draws from at most this many
+/// items run sequentially, so a round with this few open bins never
+/// touches an approximate sampler (the small-case equivalence tests
+/// rely on this).
 const EXACT_BINS: u64 = 64;
 
-/// Intakes of at most this many hits scatter with an exact per-hit
-/// collision walk when the class is small; for large classes the
-/// occupancy-cell walk is cheaper once the intake passes a few hits, so
-/// the per-hit path only covers intakes short enough to beat it.
+/// Intakes of at most this many hits are profiled by an exact per-hit
+/// collision walk; for large open sets the hazard walk is cheaper once
+/// the intake passes a few hits, so the per-hit path only covers
+/// intakes short enough to beat it. Drift repairs of at most this many
+/// hits likewise move one exact pick at a time.
 const EXACT_HITS: u64 = 64;
 
 /// Conditional-split binomials with variance `n·p·(1−p)` at or above
@@ -560,30 +571,23 @@ pub fn split_binomial<R: Rng64 + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
     if var < SPLIT_NORMAL_VAR {
         return BinomialSampler::new(n, p).sample(rng);
     }
-    let draw = (n as f64 * p + var.sqrt() * cheap_std_normal(rng)).round();
-    // f64 → u64 saturates at 0 below; clamp the high side to n.
-    (draw as u64).min(n)
+    rounded_normal_count(n as f64 * p, var, 0, n, rng)
 }
 
 /// Draws the total number of uniform bin samples needed to obtain
 /// `hits` hits in an accepting set of probability `p` — a sum of `hits`
 /// geometrics, i.e. `hits + NegativeBinomial(hits, p)` failures. Exact
-/// summation up to `exact_cutoff` hits; rounded CLT draw (mean
-/// `hits/p`, variance `hits·(1−p)/p²`) beyond, clamped to the support
-/// `≥ hits`. Shared with the weight-class engine.
-pub(crate) fn stream_samples_for_hits_bounded<R: Rng64 + ?Sized>(
-    hits: u64,
-    p: f64,
-    exact_cutoff: u64,
-    rng: &mut R,
-) -> u64 {
+/// summation up to [`SAMPLES_EXACT_CUTOFF`] hits; rounded CLT draw
+/// (mean `hits/p`, variance `hits·(1−p)/p²`) beyond, clamped to the
+/// support `≥ hits`. Shared with the weight-class engine.
+pub(crate) fn round_samples<R: Rng64 + ?Sized>(hits: u64, p: f64, rng: &mut R) -> u64 {
     if hits == 0 {
         return 0;
     }
     if p >= 1.0 {
         return hits;
     }
-    if hits <= exact_cutoff {
+    if hits <= SAMPLES_EXACT_CUTOFF {
         let g = GeometricSampler::new(p);
         return (0..hits).map(|_| g.sample(rng)).sum();
     }
@@ -595,164 +599,58 @@ pub(crate) fn stream_samples_for_hits_bounded<R: Rng64 + ?Sized>(
     (draw as u64).max(hits)
 }
 
-/// Total uniform-stream samples consumed to obtain `hits` hits on an
-/// accepting set of probability `p`, at this engine's exact-sum
-/// ceiling.
-fn round_samples<R: Rng64 + ?Sized>(hits: u64, p: f64, rng: &mut R) -> u64 {
-    stream_samples_for_hits_bounded(hits, p, SAMPLES_EXACT_CUTOFF, rng)
-}
-
-/// Guaranteed stopping level for the hazard walks over a `Bin(h, 1/c)`
-/// marginal: the true mass beyond `λ + 40√λ + 64` is below `e⁻³⁰⁰`, so
-/// parking the stragglers there is the same approximation the
+/// Guaranteed stopping level for a hazard walk over a marginal of mean
+/// `mean` whose support ends at `top`: the true mass beyond
+/// `mean + 40√mean + 64` is below `e⁻³⁰⁰` (binomial and Poisson alike),
+/// so parking the stragglers there is the same approximation the
 /// `tail < 1e-12` exhaustion break makes — but it triggers *surely*.
-/// The exhaustion break alone is fragile: float error in the seeded
-/// pmf floors the walked tail at the seed's relative error, and when
-/// that floor sits above the cutoff the stragglers ride `j` all the
-/// way to `h` — an O(h) walk plus an O(h) cells vector for the drift
-/// repair to crawl, which at `n = 2²⁷` turned sub-millisecond rounds
-/// into minutes.
-fn park_level(c: u64, h: u64) -> u64 {
-    let lambda = h as f64 / c as f64;
-    ((lambda + 40.0 * lambda.max(1.0).sqrt() + 64.0) as u64).min(h)
+/// The exhaustion break alone is fragile: float error in the seeded pmf
+/// floors the walked tail at the seed's relative error, and when that
+/// floor sits above the cutoff the stragglers ride `j` all the way to
+/// the top of the support — an O(hits) walk plus an O(hits) cells
+/// vector for the drift repair to crawl, which at `n = 2²⁷` turned
+/// sub-millisecond rounds into minutes.
+fn park_level(top: u64, mean: f64) -> u64 {
+    ((mean + 40.0 * mean.max(1.0).sqrt() + 64.0) as u64).min(top)
 }
 
-/// Scatters `h` uniform hits over one occupancy class of `c`
-/// exchangeable bins at load `l`, each with remaining capacity `cap`
-/// (`None` = unbounded), updating the histogram and returning the
-/// number of balls kept (the rest is overflow for the next round).
-fn scatter_class<R: Rng64 + ?Sized>(
-    hist: &mut OccupancyHistogram,
-    l: u32,
-    c: u64,
-    h: u64,
-    cap: Option<u32>,
-    hit_scratch: &mut Vec<u64>,
+/// The conditional-binomial hazard walk behind [`binomial_profile`] and
+/// [`occupancy_profile`]: draws the profile of `bins` independent
+/// counts of a marginal given by `ln P(X = 0) = ln_pmf0` and the ratio
+/// `P(X = j+1)/P(X = j) = num(j)/(j+1) · factor`. Level `j` takes
+/// `Binomial(bins left, pmf_j / tail_j)` of the bins not yet placed —
+/// an exact multinomial over the marginal as a chain (each link a
+/// [`split_binomial`], rounded-normal above its variance floor). The
+/// pmf is seeded in log space and carried there until it surfaces:
+/// `P(X = 0)` underflows long before the bulk of a heavy law, and
+/// `powi`'s relative error grows with the exponent. Stragglers park at
+/// `park` or once the walked tail is exhausted. Leading empty levels
+/// are not stored: on return `cells[i]` counts the bins at `base + i`,
+/// and `base` is returned.
+fn hazard_walk<R, F>(
+    bins: u64,
+    ln_pmf0: f64,
+    factor: f64,
+    num: F,
+    park: u64,
+    cells: &mut Vec<u64>,
     rng: &mut R,
-) -> u64 {
-    debug_assert!(c > 0);
-    if h == 0 {
-        return 0;
-    }
-    let keep_of = |hits: u64| -> u64 { cap.map_or(hits, |q| hits.min(q as u64)) };
-    if c == 1 {
-        let keep = keep_of(h);
-        hist.promote(l, 1, keep as u32);
-        return keep;
-    }
-    if h <= EXACT_HITS {
-        // Exact per-hit collision walk: each hit lands on a specific
-        // already-hit bin w.p. 1/c, so indexing the hit bins 0.. and
-        // drawing a uniform in 0..c reproduces the multinomial exactly.
-        let hit_counts = hit_scratch;
-        hit_counts.clear();
-        for _ in 0..h {
-            let r = rng.range_u64(c);
-            if (r as usize) < hit_counts.len() {
-                hit_counts[r as usize] += 1;
-            } else {
-                hit_counts.push(1);
-            }
-        }
-        // Group the promotes by jump size: most hit bins share a small
-        // keep count, and one grouped promote per distinct jump beats a
-        // per-bin promote on the hot path.
-        let mut kept = 0u64;
-        let mut jumps = [0u64; 8];
-        for &x in hit_counts.iter() {
-            let keep = keep_of(x);
-            kept += keep;
-            if keep > 0 && (keep as usize) < jumps.len() {
-                jumps[keep as usize] += 1;
-            } else if keep > 0 {
-                hist.promote(l, 1, keep as u32);
-            }
-        }
-        for (jump, &bins) in jumps.iter().enumerate().skip(1) {
-            hist.promote(l, bins, jump as u32);
-        }
-        return kept;
-    }
-    if c <= EXACT_BINS {
-        // Exact multinomial as a chain of per-bin conditional binomials.
-        let mut rem_h = h;
-        let mut kept = 0u64;
-        let mut jumps = [0u64; 8];
-        for i in 0..c {
-            if rem_h == 0 {
-                break;
-            }
-            let rem_bins = c - i;
-            let x = if rem_bins == 1 {
-                rem_h
-            } else {
-                BinomialSampler::new(rem_h, 1.0 / rem_bins as f64).sample(rng)
-            };
-            rem_h -= x;
-            let keep = keep_of(x);
-            kept += keep;
-            if keep > 0 && (keep as usize) < jumps.len() {
-                jumps[keep as usize] += 1;
-            } else if keep > 0 {
-                hist.promote(l, 1, keep as u32);
-            }
-        }
-        for (jump, &bins) in jumps.iter().enumerate().skip(1) {
-            hist.promote(l, bins, jump as u32);
-        }
-        return kept;
-    }
-
-    if cap == Some(1) {
-        // Saturated top level: every hit bin keeps exactly one ball, so
-        // the scatter collapses to the *distinct-bin count* `D` —
-        // promote `D` bins one level, return `D` (this path only fires
-        // above the exact-path thresholds, where the distinct-count
-        // draw takes its moment-matched closed form; it is an order of
-        // magnitude cheaper than the cell walk on the hot top level
-        // where most hits land).
-        let d = distinct_hit_count(c, h, rng);
-        hist.promote(l, d, 1);
-        return d;
-    }
-    // Occupancy-cell sampling. Each bin's hit count is marginally
-    // `Bin(h, 1/c)`; drawing cell `j` as `Binomial(c_rem, pmf_j/tail_j)`
-    // makes `(N_0, N_1, …)` an exact multinomial over that marginal —
-    // the occupancy of `c` *independent* `Bin(h, 1/c)` counts. The
-    // neglected negative correlation (the true counts sum to `h`
-    // exactly) appears as a small drift of `Σ j·N_j` around `h`; the
-    // repair below moves bins between *adjacent* cells at the
-    // distribution's mode, where a one-level shift is deep inside the
-    // bulk — truncating or padding the tail instead would visibly
-    // distort max-load statistics. Residual error is `O(1/c)` on second
-    // moments, and only this path (`c > 64`, `h > 64`) carries it.
-    let cells = hit_scratch;
+) -> u64
+where
+    R: Rng64 + ?Sized,
+    F: Fn(u64) -> f64,
+{
     cells.clear();
-    let mut c_rem = c;
-    let mut lump = 0u64; // capped classes: bins with ≥ q hits, keep q each
-                         // pmf of Bin(h, 1/c) at j, advanced by the recurrence
-                         // pmf(j+1) = pmf(j) · (h−j) / ((j+1)·(c−1)). The heavy regimes
-                         // start with pmf(0) = (1−1/c)^h in deep underflow, so the walk
-                         // carries the pmf in log space until it surfaces, then switches to
-                         // the two-flop linear recurrence for the bulk of the levels.
-                         // (1−1/c)^h is seeded through the log: powi's relative error grows
-                         // like h·ε, which past h ≈ 10⁸ can leave the walked tail floored
-                         // *above* the exhaustion cutoff so the break never fires.
-    let mut ln_pmf = h as f64 * (-1.0 / c as f64).ln_1p();
+    let ln_factor = factor.ln();
+    let mut ln_pmf = ln_pmf0;
     let mut pmf = ln_pmf.exp();
     let mut log_mode = pmf < 1e-290;
     let mut tail = 1.0f64; // P(X ≥ j)
-    let j_park = park_level(c, h);
+    let mut base = 0u64;
+    let mut c_rem = bins;
+    let mut j = 0u64;
     while c_rem > 0 {
-        let j = cells.len() as u64;
-        if cap.is_some_and(|q| q as u64 == j) {
-            lump = c_rem;
-            break;
-        }
-        if j >= j_park || tail < 1e-12 {
-            // The walked tail mass is numerically exhausted; park the
-            // stragglers at the current level (the repair below keeps
-            // total mass exact).
+        if j >= park || tail < 1e-12 {
             cells.push(c_rem);
             break;
         }
@@ -766,619 +664,91 @@ fn scatter_class<R: Rng64 + ?Sized>(
         } else {
             split_binomial(c_rem, hazard, rng)
         };
-        cells.push(nj);
+        if cells.is_empty() && nj == 0 {
+            base = j + 1;
+        } else {
+            cells.push(nj);
+        }
         c_rem -= nj;
         tail = (tail - pmf).max(0.0);
-        let num = (h - j) as f64;
-        let den = (j + 1) as f64 * (c - 1) as f64;
+        let (n, den) = (num(j), (j + 1) as f64);
         if log_mode {
-            ln_pmf += num.ln() - den.ln();
+            ln_pmf += n.ln() - den.ln() + ln_factor;
             pmf = ln_pmf.exp();
             log_mode = pmf < 1e-290;
         } else {
-            pmf *= num / den;
+            pmf *= n / den * factor;
         }
+        j += 1;
     }
-
-    let consumed = |cells: &[u64], lump: u64| -> u64 {
-        let q = cap.map_or(0, |q| q as u64);
-        cells
-            .iter()
-            .enumerate()
-            .map(|(j, &nj)| j as u64 * nj)
-            .sum::<u64>()
-            + q * lump
-    };
-    // Repair target. Unbounded classes keep every ball, so the cells
-    // must consume exactly `h`. Capped classes keep
-    // `h − Σ_bins (X−q)⁺`; the cells only resolve hit counts up to the
-    // lump, so the overflow is estimated as `lump · E[(X−q)⁺ | X ≥ q]`
-    // from the same pmf recurrence (conditioning on the *drawn* lump
-    // keeps the estimate consistent: no capped bin ⇒ no overflow,
-    // surely). Repairing toward the target in *both* directions is what
-    // keeps the re-throw mass unbiased — clipping only the impossible
-    // `consumed > h` side would systematically inflate the overflow by
-    // the positive part of the drift, which showed up as a ~1% excess
-    // in allocation time before this estimate existed.
-    let target = match cap {
-        None => h,
-        Some(q) => {
-            if lump == 0 {
-                h // no bin reached the cap: every ball was kept, surely
-            } else {
-                // E[(X−q)⁺ | X ≥ q]: extend the recurrence past the cap
-                // (pure float work, no draws). `pmf`/`tail` sit at j = q
-                // when the lump branch exits the cell loop.
-                let lambda = h as f64 / c as f64;
-                let mut e_tail = 0.0f64;
-                let mut p = pmf;
-                let mut jj = q as u64;
-                while jj < h {
-                    let num = (h - jj) as f64;
-                    let den = (jj + 1) as f64 * (c - 1) as f64;
-                    p *= num / den;
-                    jj += 1;
-                    let term = (jj - q as u64) as f64 * p;
-                    e_tail += term;
-                    if jj as f64 > lambda && term < 1e-5 * (1.0 + e_tail) {
-                        break;
-                    }
-                }
-                let e_cond = if tail > 1e-12 { e_tail / tail } else { 0.0 };
-                let overflow_est = (lump as f64 * e_cond).round() as u64;
-                h - overflow_est.min(h)
-            }
-        }
-    };
-    // A capped class can physically hold at most c·q (rescues the
-    // λ ≫ q corner where the pmf extension underflows).
-    let target = target.min(cap.map_or(u64::MAX, |q| c.saturating_mul(q as u64)));
-    // Repair the drift with single-level moves apportioned
-    // *proportionally* over the donor cells (a conditional-binomial
-    // chain, like the intake splits): every bin is equally likely to be
-    // the one nudged, so no cell — in particular not the N₀ cell, which
-    // the untouched-bin statistics read — absorbs the correction
-    // preferentially, and the expected cell counts stay at their exact
-    // marginals.
-    let mut d = consumed(cells, lump) as i128 - target as i128;
-    while d > 0 {
-        let lump_size = if cap.is_some() { lump } else { 0 };
-        let mut pool: u64 = cells[1..].iter().sum::<u64>() + lump_size;
-        debug_assert!(pool > 0, "occupancy repair: no donors above the target");
-        if pool == 0 {
-            break;
-        }
-        let mut want = (d as u128).min(pool as u128) as u64;
-        d -= want as i128;
-        if want <= 8 {
-            // The typical drift is a handful of balls: single moves with
-            // one uniform donor pick each (still ∝ cell sizes) beat the
-            // binomial-chain pass by an order of magnitude.
-            while want > 0 {
-                let mut r = rng.range_u64(pool);
-                let mut placed = false;
-                for i in 1..cells.len() {
-                    if r < cells[i] {
-                        cells[i] -= 1;
-                        cells[i - 1] += 1;
-                        placed = true;
-                        break;
-                    }
-                    r -= cells[i];
-                }
-                if !placed {
-                    debug_assert!(lump > 0);
-                    lump -= 1;
-                    let q = cap.expect("the lump donor exists only under a capped rule") as usize;
-                    if cells.len() < q {
-                        cells.resize(q, 0);
-                    }
-                    cells[q - 1] += 1;
-                }
-                pool -= 1;
-                want -= 1;
-            }
-            continue;
-        }
-        // Ascending apply is safe: cell i−1 has already donated before
-        // it receives from cell i.
-        for i in 1..cells.len() {
-            if want == 0 {
-                break;
-            }
-            let mi = if pool == cells[i] {
-                want
-            } else {
-                split_binomial(want, cells[i] as f64 / pool as f64, rng)
-            }
-            .min(cells[i]);
-            pool -= cells[i];
-            cells[i] -= mi;
-            cells[i - 1] += mi;
-            want -= mi;
-        }
-        if want > 0 && lump_size > 0 {
-            // The remainder was apportioned to the ≥q lump.
-            let q = cap.expect("a non-empty lump implies a capped rule") as usize;
-            let mi = want.min(lump);
-            lump -= mi;
-            if cells.len() < q {
-                cells.resize(q, 0);
-            }
-            cells[q - 1] += mi;
-            want -= mi;
-        }
-        if want > 0 {
-            // A pass can stall on clamped draws; finish the remainder
-            // from the fullest donor so the loop surely terminates.
-            if let Some(i) = (1..cells.len())
-                .filter(|&i| cells[i] > 0)
-                .max_by_key(|&i| cells[i])
-            {
-                let mi = want.min(cells[i]);
-                cells[i] -= mi;
-                cells[i - 1] += mi;
-                want -= mi;
-            }
-        }
-        d += want as i128; // anything unplaceable goes back into the deficit
-    }
-    while d < 0 {
-        let mut pool: u64 = cells.iter().sum();
-        if pool == 0 {
-            break; // everything already sits at the cap lump
-        }
-        let mut want = ((-d) as u128).min(pool as u128) as u64;
-        d += want as i128;
-        if want <= 8 {
-            // Single-move fast path, mirroring the down-move repair.
-            while want > 0 {
-                let mut r = rng.range_u64(pool);
-                for i in 0..cells.len() {
-                    if r < cells[i] {
-                        cells[i] -= 1;
-                        if cap.is_some_and(|q| i as u32 + 1 == q) {
-                            lump += 1;
-                        } else {
-                            if i + 1 == cells.len() {
-                                cells.push(0);
-                            }
-                            cells[i + 1] += 1;
-                        }
-                        break;
-                    }
-                    r -= cells[i];
-                }
-                pool -= 1;
-                want -= 1;
-            }
-            continue;
-        }
-        // Descending apply: cell i+1 has already donated before it
-        // receives from cell i. For capped classes the move out of cell
-        // q−1 lands in the ≥q lump (one more kept ball each, same as
-        // any other single-level move).
-        for i in (0..cells.len()).rev() {
-            if want == 0 {
-                break;
-            }
-            pool -= cells[i];
-            let mi = if pool == 0 {
-                want
-            } else {
-                split_binomial(want, cells[i] as f64 / (pool + cells[i]) as f64, rng)
-            }
-            .min(cells[i]);
-            if mi > 0 {
-                cells[i] -= mi;
-                if cap.is_some_and(|q| i as u32 + 1 == q) {
-                    lump += mi;
-                } else {
-                    if i + 1 == cells.len() {
-                        cells.push(0);
-                    }
-                    cells[i + 1] += mi;
-                }
-                want -= mi;
-            }
-        }
-        if want > 0 {
-            // Stalled-pass fallback, mirroring the down-move repair.
-            if let Some(i) = (0..cells.len())
-                .filter(|&i| cells[i] > 0)
-                .max_by_key(|&i| cells[i])
-            {
-                let mi = want.min(cells[i]);
-                cells[i] -= mi;
-                if cap.is_some_and(|q| i as u32 + 1 == q) {
-                    lump += mi;
-                } else {
-                    if i + 1 == cells.len() {
-                        cells.push(0);
-                    }
-                    cells[i + 1] += mi;
-                }
-                want -= mi;
-            }
-        }
-        d -= want as i128;
-    }
-
-    let mut kept = 0u64;
-    for (j, &nj) in cells.iter().enumerate() {
-        kept += j as u64 * nj;
-        hist.promote(l, nj, j as u32);
-    }
-    if lump > 0 {
-        let q = cap.expect("promoted lump bins exist only under a capped rule");
-        kept += q as u64 * lump;
-        hist.promote(l, lump, q);
-    }
-    debug_assert!(kept <= h);
-    kept
+    base
 }
 
-/// One batched round: throws `thrown` balls uniformly over the bins
-/// open under `t` at round start, splitting the intake across occupancy
-/// classes with conditional binomials. Returns the number of balls kept
-/// (the overflow re-enters the caller's loop). Shared with the
-/// weight-class engine in [`crate::weighted`], which runs one such
-/// round per weight class.
-pub(crate) fn round_uniform<R: Rng64 + ?Sized>(
-    hist: &mut OccupancyHistogram,
-    t: Option<u32>,
-    thrown: u64,
-    scratch: &mut Vec<(u32, u64)>,
-    hit_scratch: &mut Vec<u64>,
+/// Draws the profile of `bins` independent `Bin(trials, p)` counts: on
+/// return `cells[i]` = number of bins whose count is exactly
+/// `base + i`, where `base` — the smallest count drawn — is the return
+/// value (`Σ cells[i] = bins`, surely). Storage spans the drawn counts,
+/// not `[0, max]`; cost is `O(max count)` draws, independent of `bins`.
+///
+/// This is the hazard walk over the exact `Bin(trials, p)` marginal,
+/// seeded in log space so `(1−p)^trials` underflowing at heavy loads
+/// does not zero the walk, and stopped surely at `park_level`. The
+/// streaming driver's departure split (`trials` = a class's load) and
+/// the parallel-greedy defector split (`trials` = a cell's pinned
+/// balls) draw their per-bin counts here.
+pub fn binomial_profile<R: Rng64 + ?Sized>(
+    bins: u64,
+    trials: u64,
+    p: f64,
+    cells: &mut Vec<u64>,
     rng: &mut R,
 ) -> u64 {
-    // Snapshot the open classes *descending* by load: the mass piles up
-    // just below the bound. (Descending is promote-safe: scatters only
-    // move bins upward, so a class's count still equals its snapshot
-    // when its turn comes.)
-    scratch.clear();
-    let mut k = 0u64;
-    let top = match t {
-        Some(t) => {
-            if t <= hist.base {
-                0
-            } else {
-                ((t - hist.base) as usize).min(hist.counts.len())
-            }
-        }
-        None => hist.counts.len(),
-    };
-    for i in (0..top).rev() {
-        let c = hist.counts[i];
-        if c > 0 {
-            scratch.push((hist.base + i as u32, c));
-            k += c;
-        }
+    if trials == 0 || p <= 0.0 || p >= 1.0 {
+        cells.clear();
+        cells.push(bins);
+        return if p >= 1.0 { trials } else { 0 };
     }
-    debug_assert!(k > 0, "round_uniform: no open bin");
-
-    if thrown == 0 {
-        return 0;
-    }
-    // Small cases take the exact per-level route (chain of conditional
-    // binomials + scatter_class, which is fully exact below its own
-    // thresholds) — the global-occupancy fast path below only fires in
-    // the approximate regime it shares with the cell walk.
-    if k <= EXACT_BINS || thrown <= EXACT_HITS || scratch.len() == 1 {
-        let mut rem_hits = thrown;
-        let mut rem_bins = k;
-        let mut kept = 0u64;
-        for &(l, c) in scratch.iter() {
-            if rem_hits == 0 {
-                break;
-            }
-            let h = if rem_bins == c {
-                rem_hits
-            } else {
-                split_binomial(rem_hits, c as f64 / rem_bins as f64, rng)
-            };
-            rem_hits -= h;
-            rem_bins -= c;
-            let cap = t.map(|t| t - l);
-            kept += scatter_class(hist, l, c, h, cap, hit_scratch, rng);
-        }
-        return kept;
-    }
-
-    // Global-occupancy route: resolve the hit multiplicities once over
-    // the *whole* open set (`cells[j]` = bins receiving exactly `j`
-    // hits, drawn by the same hazard walk the per-level scatter uses),
-    // then place each multiplicity group across the levels with a
-    // without-replacement (hypergeometric) chain. Equivalent
-    // decomposition of the same multinomial, but the per-round cost
-    // drops from O(levels · cells) draws to O(levels + cells): with the
-    // adaptive lag distribution spanning ~log n levels this is the
-    // difference between the engine being level-bound and hit-bound.
-    let cells = hit_scratch;
-    draw_occupancy_cells(k, thrown, cells, rng);
-    let mut kept = 0u64;
-    // Remaining unassigned bins per level (parallel to `scratch`).
-    let mut rem_total = k;
-    // j descending so the small multiplicity groups (per-hit exact
-    // assignment) run first only if... order is irrelevant for the
-    // sequential conditioning; descending keeps the big j==1 group last
-    // so its chain sees the true remaining counts.
-    for j in (1..cells.len()).rev() {
-        let nj = cells[j];
-        if nj == 0 {
-            continue;
-        }
-        let keep_at = |cap: Option<u32>| -> u64 {
-            match cap {
-                None => j as u64,
-                Some(q) => (j as u64).min(q as u64),
-            }
-        };
-        if nj <= PER_HIT_SPLIT {
-            // Assign each multi-hit bin its level directly, without
-            // replacement (exact).
-            for _ in 0..nj {
-                let mut r = rng.range_u64(rem_total);
-                for &mut (l, ref mut c) in scratch.iter_mut() {
-                    if r < *c {
-                        let cap = t.map(|t| t - l);
-                        let keep = keep_at(cap) as u32;
-                        hist.promote(l, 1, keep);
-                        kept += keep as u64;
-                        *c -= 1;
-                        rem_total -= 1;
-                        break;
-                    }
-                    r -= *c;
-                }
-            }
-            continue;
-        }
-        // Hypergeometric chain over the levels: level i receives
-        // H_i ~ Hypergeom(rem_total, c_i, nj_rem), drawn as a
-        // rounded-normal with the exact mean and finite-population
-        // variance, clamped to the support (the same moment-exact
-        // approximation family as the cell walk; nj > PER_HIT_SPLIT
-        // keeps the normal regime honest).
-        let mut nj_rem = nj;
-        let mut pool = rem_total;
-        #[allow(clippy::needless_range_loop)] // scratch[idx] is mutated below
-        for idx in 0..scratch.len() {
-            if nj_rem == 0 {
-                break;
-            }
-            let (l, c) = scratch[idx];
-            if c == 0 {
-                continue;
-            }
-            let h_i = if pool == c {
-                nj_rem.min(c)
-            } else {
-                let f = c as f64 / pool as f64;
-                let mean = nj_rem as f64 * f;
-                let fpc = (pool - nj_rem) as f64 / (pool - 1).max(1) as f64;
-                let var = mean * (1.0 - f) * fpc;
-                let lo = nj_rem.saturating_sub(pool - c);
-                let hi = nj_rem.min(c);
-                if var < SPLIT_NORMAL_VAR {
-                    // Narrow split: an exact binomial draw (the
-                    // without-replacement correction is within the
-                    // clamp) keeps the randomness a rounded mean would
-                    // destroy — deterministic rounding here starves
-                    // low-count levels of promotions forever.
-                    split_binomial(nj_rem, f, rng).clamp(lo, hi)
-                } else {
-                    let draw = (mean + var.sqrt() * cheap_std_normal(rng)).round();
-                    ((draw.max(0.0)) as u64).clamp(lo, hi)
-                }
-            };
-            if h_i > 0 {
-                let cap = t.map(|t| t - l);
-                let keep = keep_at(cap) as u32;
-                hist.promote(l, h_i, keep);
-                kept += keep as u64 * h_i;
-                scratch[idx].1 -= h_i;
-                rem_total -= h_i;
-                nj_rem -= h_i;
-            }
-            pool -= c;
-        }
-        debug_assert!(nj_rem == 0, "hypergeometric chain left bins unassigned");
-    }
-    kept
-}
-
-/// Draws the occupancy pattern of `h` uniform hits over `k`
-/// exchangeable bins: `cells[j]` = number of bins receiving exactly `j`
-/// hits. The same hazard walk over the `Bin(h, 1/k)` marginal as the
-/// capped per-level scatter, with the drift of `Σ j·cells[j]` repaired
-/// toward exactly `h` by proportional single-level moves (no caps here:
-/// capping happens level-wise in the caller).
-fn draw_occupancy_cells<R: Rng64 + ?Sized>(k: u64, h: u64, cells: &mut Vec<u64>, rng: &mut R) {
-    cells.clear();
-    let mut c_rem = k;
-    // Seeded through the log for the same h·ε-error reason as
-    // [`scatter_class`]; [`park_level`] bounds the walk even when the
-    // tail floor sits above the exhaustion cutoff.
-    let mut ln_pmf = h as f64 * (-1.0 / k as f64).ln_1p();
-    let mut pmf = ln_pmf.exp();
-    let mut log_mode = pmf < 1e-290;
-    let mut tail = 1.0f64;
-    let j_park = park_level(k, h);
-    while c_rem > 0 {
-        let j = cells.len() as u64;
-        if j >= j_park || tail < 1e-12 {
-            cells.push(c_rem);
-            break;
-        }
-        let hazard = if tail <= pmf {
-            1.0
-        } else {
-            (pmf / tail).clamp(0.0, 1.0)
-        };
-        let nj = if hazard == 0.0 {
-            0
-        } else {
-            split_binomial(c_rem, hazard, rng)
-        };
-        cells.push(nj);
-        c_rem -= nj;
-        tail = (tail - pmf).max(0.0);
-        let num = (h - j) as f64;
-        let den = (j + 1) as f64 * (k - 1) as f64;
-        if log_mode {
-            ln_pmf += num.ln() - den.ln();
-            pmf = ln_pmf.exp();
-            log_mode = pmf < 1e-290;
-        } else {
-            pmf *= num / den;
-        }
-    }
-    // Repair Σ j·cells[j] toward exactly h with single-level moves
-    // apportioned proportionally over the donor cells.
-    let consumed = |cells: &[u64]| -> u64 {
-        cells
-            .iter()
-            .enumerate()
-            .map(|(j, &nj)| j as u64 * nj)
-            .sum::<u64>()
-    };
-    let mut d = consumed(cells) as i128 - h as i128;
-    while d > 0 {
-        let mut pool: u64 = cells[1..].iter().sum();
-        if pool == 0 {
-            break;
-        }
-        let mut want = (d as u128).min(pool as u128) as u64;
-        d -= want as i128;
-        if want > 16 {
-            // Proportional chain pass: one conditional binomial per
-            // donor cell moves the bulk of the drift in O(cells) draws
-            // (the typical drift is Θ(√h) — per-move repair would put a
-            // √h · cells term on every round).
-            for i in 1..cells.len() {
-                if want == 0 {
-                    break;
-                }
-                let mi = if pool == cells[i] {
-                    want
-                } else {
-                    split_binomial(want, cells[i] as f64 / pool as f64, rng)
-                }
-                .min(cells[i]);
-                pool -= cells[i];
-                cells[i] -= mi;
-                cells[i - 1] += mi;
-                want -= mi;
-            }
-            pool = cells[1..].iter().sum();
-        }
-        while want > 0 && pool > 0 {
-            let mut r = rng.range_u64(pool);
-            for i in 1..cells.len() {
-                if r < cells[i] {
-                    cells[i] -= 1;
-                    cells[i - 1] += 1;
-                    break;
-                }
-                r -= cells[i];
-            }
-            pool -= 1;
-            want -= 1;
-        }
-        d += want as i128;
-    }
-    while d < 0 {
-        let mut pool: u64 = cells.iter().sum();
-        if pool == 0 {
-            break;
-        }
-        let mut want = ((-d) as u128).min(pool as u128) as u64;
-        d += want as i128;
-        if want > 16 {
-            // Descending apply: cell i+1 has already donated before it
-            // receives from cell i.
-            for i in (0..cells.len()).rev() {
-                if want == 0 {
-                    break;
-                }
-                pool -= cells[i];
-                let mi = if pool == 0 {
-                    want
-                } else {
-                    split_binomial(want, cells[i] as f64 / (pool + cells[i]) as f64, rng)
-                }
-                .min(cells[i]);
-                if mi > 0 {
-                    cells[i] -= mi;
-                    if i + 1 == cells.len() {
-                        cells.push(0);
-                    }
-                    cells[i + 1] += mi;
-                    want -= mi;
-                }
-            }
-            pool = cells.iter().sum();
-        }
-        while want > 0 && pool > 0 {
-            let mut r = rng.range_u64(pool);
-            for i in 0..cells.len() {
-                if r < cells[i] {
-                    cells[i] -= 1;
-                    if i + 1 == cells.len() {
-                        cells.push(0);
-                    }
-                    cells[i + 1] += 1;
-                    break;
-                }
-                r -= cells[i];
-            }
-            pool -= 1;
-            want -= 1;
-        }
-        d -= want as i128;
-    }
+    let park = park_level(trials, trials as f64 * p);
+    let ln_pmf0 = trials as f64 * (-p).ln_1p();
+    let num = |j: u64| (trials - j) as f64;
+    hazard_walk(bins, ln_pmf0, p / (1.0 - p), num, park, cells, rng)
 }
 
 /// Draws the *occupancy profile* of `hits` uniform throws over `bins`
-/// exchangeable bins: on return `cells[j]` = number of bins receiving
-/// exactly `j` throws (`Σ cells[j] = bins`, `Σ j·cells[j] = hits`,
-/// surely).
+/// exchangeable bins: on return `cells[i]` = number of bins receiving
+/// exactly `base + i` throws, where `base` is the return value
+/// (`Σ cells[i] = bins`, `Σ (base + i)·cells[i] = hits`, surely).
 ///
-/// This is the multiplicity-profile primitive of the engines that batch
-/// a whole round of uniform contacts at once — the sequential histogram
-/// engine's global-occupancy route and the parallel round-occupancy
-/// engine (collision / bounded-load / parallel-greedy), which resolves
-/// acceptance per multiplicity class instead of per contact.
+/// This is the one answer to "how many of these exchangeable bins end
+/// up with exactly `j` of the hits": the histogram engine's rounds
+/// (`round_uniform`, shared with the weight-class engine) and the
+/// parallel round-occupancy engines (collision / bounded-load /
+/// parallel-greedy) all draw their multiplicity profiles here. Paths:
 ///
-/// Exactness regimes: `hits ≤ 64` runs the exact per-hit collision walk
-/// (each throw lands on an already-hit bin with probability
-/// `#hit/bins`), so small cases are *exactly* multinomial; larger
-/// intakes run the hazard walk over the `Bin(hits, 1/bins)` marginal
-/// with proportional drift repair — a moment-exact approximation whose
-/// residual error the equivalence suites bound. Cost is
-/// `O(max multiplicity)` draws, independent of `bins` and `hits`.
+/// * `hits ≤ 64`: the exact per-hit collision walk (each throw lands on
+///   an already-hit bin with probability `#hit/bins`);
+/// * `bins ≤ 64`: the exact per-bin binomial chain (bin `i` takes
+///   `Bin(hits left, 1/bins left)`);
+/// * otherwise the hazard walk over i.i.d. `Poisson(hits/bins)` counts,
+///   then one drift repair to exactly `hits` (`repair_drift`). Given
+///   their sum `S`, i.i.d. Poisson counts *are* the occupancy of `S`
+///   uniform hits, and the repair removes or adds uniform hits, so the
+///   result is the exact multinomial law up to the walk's rounded-normal
+///   links and the repair's `O(drift/hits)` chain-pass error.
+///
+/// Cost is `O(max multiplicity)` draws on the walks and `O(bins)` on the
+/// chain; storage spans the drawn multiplicities only.
 pub fn occupancy_profile<R: Rng64 + ?Sized>(
     bins: u64,
     hits: u64,
     cells: &mut Vec<u64>,
     rng: &mut R,
-) {
+) -> u64 {
     assert!(bins > 0, "occupancy_profile: need at least one bin");
-    if hits == 0 {
-        cells.clear();
+    cells.clear();
+    if hits == 0 || bins == 1 {
         cells.push(bins);
-        return;
-    }
-    if bins == 1 {
-        // Degenerate: the single bin takes everything. (Callers with a
-        // single bin and a huge intake should special-case before the
-        // dense profile, as the sequential engines do.)
-        cells.clear();
-        cells.resize(hits as usize + 1, 0);
-        cells[hits as usize] = 1;
-        cells[0] = 0;
-        return;
+        return if bins == 1 { hits } else { 0 };
     }
     if hits <= EXACT_HITS {
         // Exact per-hit walk: index the hit bins 0..; a throw lands on
@@ -1395,15 +765,223 @@ pub fn occupancy_profile<R: Rng64 + ?Sized>(
             }
         }
         let max_mult = counts[..touched].iter().copied().max().unwrap_or(0) as usize;
-        cells.clear();
         cells.resize(max_mult + 1, 0);
         cells[0] = bins - touched as u64;
         for &c in &counts[..touched] {
             cells[c as usize] += 1;
         }
-        return;
+        return 0;
     }
-    draw_occupancy_cells(bins, hits, cells, rng);
+    if bins <= EXACT_BINS {
+        // Exact multinomial as a chain of per-bin conditional binomials.
+        let mut xs = [0u64; EXACT_BINS as usize];
+        let xs = &mut xs[..bins as usize];
+        let mut rem = hits;
+        for (i, x) in xs.iter_mut().enumerate() {
+            if rem == 0 {
+                break;
+            }
+            let rem_bins = bins - i as u64;
+            *x = if rem_bins == 1 {
+                rem
+            } else {
+                BinomialSampler::new(rem, 1.0 / rem_bins as f64).sample(rng)
+            };
+            rem -= *x;
+        }
+        let lo = xs.iter().copied().min().unwrap_or(0);
+        let hi = xs.iter().copied().max().unwrap_or(0);
+        cells.resize((hi - lo) as usize + 1, 0);
+        for &x in xs.iter() {
+            cells[(x - lo) as usize] += 1;
+        }
+        return lo;
+    }
+    let lambda = hits as f64 / bins as f64;
+    let park = park_level(hits, lambda);
+    let base = hazard_walk(bins, -lambda, lambda, |_| 1.0, park, cells, rng);
+    repair_drift(cells, base, hits, rng)
+}
+
+/// Moves a profile (`cells[i]` bins at multiplicity `base + i`, drawn
+/// from i.i.d. Poisson counts) to a total of exactly `target` hits with
+/// single-level moves, and returns the (possibly lowered) base.
+///
+/// Given their total `S`, i.i.d. Poisson counts are the occupancy of
+/// `S` uniform hits, so the exact way to reach `target` is to remove
+/// `S − target` hits chosen uniformly among all hits (a bin is picked
+/// with weight equal to its multiplicity) or to add `target − S` hits
+/// on uniformly chosen bins (every bin weighs one). Drifts of at most
+/// [`EXACT_HITS`] hits move one pick at a time, exactly; larger drifts
+/// (intakes of thousands of hits and up) move in proportional chain
+/// passes — one conditional binomial per cell, at most one move per bin
+/// per pass — whose error, from sampling the cells with replacement and
+/// from a bin owed two moves in one pass, is `O(drift/target)`.
+///
+/// Weighting removals by multiplicity and additions by bin is what
+/// keeps the capped rounds' overflow — and with it the allocation time
+/// — unbiased: moving uniformly chosen *bins* instead leaves the upper
+/// cells overfull and inflated the adaptive rule's `T/m` by about 0.4%
+/// at `n ≈ 128`.
+fn repair_drift<R: Rng64 + ?Sized>(
+    cells: &mut Vec<u64>,
+    mut base: u64,
+    target: u64,
+    rng: &mut R,
+) -> u64 {
+    let bins: u64 = cells.iter().sum();
+    let mut total: u64 = (base..).zip(cells.iter()).map(|(j, &c)| j * c).sum();
+    while total > target {
+        // Removals move bins one level down: keep an empty level below
+        // the lowest stored one.
+        if base > 0 && cells[0] > 0 {
+            cells.insert(0, 0);
+            base -= 1;
+        }
+        let surplus = total - target;
+        if surplus > EXACT_HITS {
+            // Ascending apply: cell i−1 has already donated before it
+            // receives from cell i.
+            let (mut pool, mut want) = (total, surplus);
+            for i in 1..cells.len() {
+                if want == 0 {
+                    break;
+                }
+                let w = (base + i as u64) * cells[i];
+                let mi = if pool == w {
+                    want
+                } else {
+                    split_binomial(want, w as f64 / pool as f64, rng)
+                }
+                .min(cells[i]);
+                pool -= w;
+                cells[i] -= mi;
+                cells[i - 1] += mi;
+                want -= mi;
+                total -= mi;
+            }
+        } else {
+            let mut r = rng.range_u64(total);
+            for i in 1..cells.len() {
+                let w = (base + i as u64) * cells[i];
+                if r < w {
+                    cells[i] -= 1;
+                    cells[i - 1] += 1;
+                    total -= 1;
+                    break;
+                }
+                r -= w;
+            }
+        }
+    }
+    while total < target {
+        let deficit = target - total;
+        if deficit > EXACT_HITS {
+            // Descending apply: cell i+1 has already donated before it
+            // receives from cell i.
+            let (mut pool, mut want) = (bins, deficit);
+            for i in (0..cells.len()).rev() {
+                if want == 0 {
+                    break;
+                }
+                pool -= cells[i];
+                let mi = if pool == 0 {
+                    want
+                } else {
+                    split_binomial(want, cells[i] as f64 / (pool + cells[i]) as f64, rng)
+                }
+                .min(cells[i]);
+                if mi > 0 {
+                    if i + 1 == cells.len() {
+                        cells.push(0);
+                    }
+                    cells[i] -= mi;
+                    cells[i + 1] += mi;
+                    want -= mi;
+                    total += mi;
+                }
+            }
+        } else {
+            let mut r = rng.range_u64(bins);
+            for i in 0..cells.len() {
+                if r < cells[i] {
+                    if i + 1 == cells.len() {
+                        cells.push(0);
+                    }
+                    cells[i] -= 1;
+                    cells[i + 1] += 1;
+                    total += 1;
+                    break;
+                }
+                r -= cells[i];
+            }
+        }
+    }
+    base
+}
+
+/// One batched round: throws `thrown` balls uniformly over the bins
+/// open under `t` at round start, where a bin at load `ℓ` keeps at most
+/// `t − ℓ` of its hits. Returns the number of balls kept (the overflow
+/// re-enters the caller's loop). Shared with the weight-class engine in
+/// [`crate::weighted`], which runs one such round per weight class.
+///
+/// The hit multiplicities are resolved once over the whole open set
+/// ([`occupancy_profile`]) and each multiplicity group is spread over
+/// the occupancy classes without replacement ([`block_composition`]):
+/// one decomposition of the round's multinomial whose cost is
+/// `O(levels + multiplicities)` draws, not `O(levels · multiplicities)`
+/// — with the adaptive lag distribution spanning ~log n levels, the
+/// difference between the engine being level-bound and hit-bound.
+pub(crate) fn round_uniform<R: Rng64 + ?Sized>(
+    hist: &mut OccupancyHistogram,
+    t: Option<u32>,
+    thrown: u64,
+    scratch: &mut Vec<(u32, u64)>,
+    cells: &mut Vec<u64>,
+    rng: &mut R,
+) -> u64 {
+    // Snapshot the open classes *descending* by load: the mass piles up
+    // just below the bound, so the class chains end early. Promotes only
+    // move bins up, out of the snapshot, so a class still holds at least
+    // its unassigned snapshot count when a later group draws from it.
+    scratch.clear();
+    let top = match t {
+        Some(t) => (t.saturating_sub(hist.base) as usize).min(hist.counts.len()),
+        None => hist.counts.len(),
+    };
+    for i in (0..top).rev() {
+        let c = hist.counts[i];
+        if c > 0 {
+            scratch.push((hist.base + i as u32, c));
+        }
+    }
+    let k: u64 = scratch.iter().map(|&(_, c)| c).sum();
+    debug_assert!(k > 0, "round_uniform: no open bin");
+    if thrown == 0 {
+        return 0;
+    }
+    let base = occupancy_profile(k, thrown, cells, rng);
+    let mut kept = 0u64;
+    let mut unassigned = k;
+    // Largest multiplicity first; the untouched bins (j = 0) stay put.
+    for (i, &group) in cells.iter().enumerate().rev() {
+        let j = base + i as u64;
+        if j == 0 || group == 0 {
+            continue;
+        }
+        block_composition(scratch, unassigned, group, rng, |_, l, bins| {
+            let keep = t.map_or(j, |t| j.min(u64::from(t - l)));
+            hist.promote(
+                l,
+                bins,
+                u32::try_from(keep).expect("kept hits are bounded by a u32 load"),
+            );
+            kept += keep * bins;
+        });
+        unassigned -= group;
+    }
+    kept
 }
 
 /// Number of *distinct* bins hit by `hits` uniform throws over `bins`
@@ -1416,9 +994,9 @@ pub fn occupancy_profile<R: Rng64 + ?Sized>(
 /// Var[D] = bins·(q1−q2) + bins²·(q2−q1²)
 /// ```
 ///
-/// clamped to the sure support `[1, min(bins, hits)]`. The saturated
-/// top level of [`scatter_class`] and the bounded-load round engine's
-/// accepting-bin count both reduce to this draw.
+/// clamped to the sure support `[1, min(bins, hits)]`. The
+/// bounded-load round engine's accepting-bin count reduces to this
+/// draw.
 pub fn distinct_hit_count<R: Rng64 + ?Sized>(bins: u64, hits: u64, rng: &mut R) -> u64 {
     if hits == 0 || bins == 0 {
         return 0;
@@ -1441,9 +1019,8 @@ pub fn distinct_hit_count<R: Rng64 + ?Sized>(bins: u64, hits: u64, rng: &mut R) 
     let q1 = (hits as f64 * (-lam).ln_1p()).exp();
     let q2 = (hits as f64 * (-2.0 * lam).ln_1p()).exp();
     let mean = bins as f64 * (1.0 - q1);
-    let var = (bins as f64 * (q1 - q2) + (bins as f64) * (bins as f64) * (q2 - q1 * q1)).max(0.0);
-    let draw = (mean + var.sqrt() * cheap_std_normal(rng)).round();
-    (draw.max(1.0) as u64).min(bins).min(hits)
+    let var = bins as f64 * (q1 - q2) + (bins as f64) * (bins as f64) * (q2 - q1 * q1);
+    rounded_normal_count(mean, var, 1, bins.min(hits), rng)
 }
 
 /// `Hypergeometric(total, marked, draws)` — the number of marked items
@@ -1453,9 +1030,8 @@ pub fn distinct_hit_count<R: Rng64 + ?Sized>(bins: u64, hits: u64, rng: &mut R) 
 /// Exact sequential draw for `draws ≤ 8` (one uniform pick per draw);
 /// above that an exact binomial clamped to the support while the
 /// finite-population variance stays below the normal switch, and a
-/// rounded normal with the exact mean and variance beyond — the same
-/// moment-matched family as the engines' level chains, which use this
-/// to spread a multiplicity group over occupancy classes.
+/// rounded normal with the exact mean and variance beyond — the
+/// moment-matched link of [`block_composition`]'s class chain.
 pub fn hypergeometric<R: Rng64 + ?Sized>(total: u64, marked: u64, draws: u64, rng: &mut R) -> u64 {
     assert!(
         marked <= total && draws <= total,
@@ -1488,21 +1064,31 @@ pub fn hypergeometric<R: Rng64 + ?Sized>(total: u64, marked: u64, draws: u64, rn
         // keeps randomness a rounded mean would destroy.
         split_binomial(draws, f, rng).clamp(lo, hi)
     } else {
-        let draw = (mean + var.sqrt() * cheap_std_normal(rng)).round();
-        ((draw.max(0.0)) as u64).clamp(lo, hi)
+        rounded_normal_count(mean, var, lo, hi, rng)
     }
 }
 
-/// Draws one block's class composition for the blocked uniform load
-/// assignment: one conditional [`hypergeometric`] per class over the
-/// remaining counts (the `pool == count` guard hands the last
-/// contributing class the exact remainder, so the chain surely
-/// completes), decrementing `classes` in place and calling
-/// `take(class_index, load, count)` for every class that contributes.
-/// `remaining` must equal the sum of the remaining class counts and
-/// `block ≤ remaining`. Shared by [`OccupancyHistogram::shuffled_loads`]
-/// and the parallel round engines' sharded reconstruction, so the
-/// exactness-critical chain exists once.
+/// Assigns `block` of the `remaining` unassigned bins to the occupancy
+/// `classes` (`(load, unassigned count)`) uniformly without
+/// replacement, decrementing `classes` in place and calling
+/// `take(class_index, load, count)` for the bins each class gives up
+/// (counts for one class add up). `remaining` must equal the sum of the
+/// class counts and `block ≤ remaining`.
+///
+/// * A block that is the whole pool, or a pool held by one class, is
+///   taken without a draw.
+/// * Small blocks (`≤ 8` bins) and small pools (`≤ 64` bins) are
+///   assigned one exact uniform pick at a time, one `take` per pick.
+/// * Otherwise one conditional [`hypergeometric`] per class runs over
+///   the remaining counts; the `pool == count` guard hands the last
+///   contributing class the exact remainder, so the chain surely
+///   completes.
+///
+/// This is the one class-spreading chain: the histogram engine's
+/// multiplicity groups (`round_uniform`), the parallel round
+/// engines' level slots, and the blocked load reconstructions
+/// ([`OccupancyHistogram::shuffled_loads`],
+/// [`sharded_shuffled_loads`]) all run it.
 pub fn block_composition<R, F>(
     classes: &mut [(u32, u64)],
     remaining: u64,
@@ -1513,6 +1099,25 @@ pub fn block_composition<R, F>(
     R: Rng64 + ?Sized,
     F: FnMut(usize, u32, u64),
 {
+    let picks = (block <= PER_HIT_SPLIT || remaining <= EXACT_BINS)
+        && block < remaining
+        && classes.iter().all(|&(_, c)| c < remaining);
+    if picks {
+        let mut pool = remaining;
+        for _ in 0..block {
+            let mut r = rng.range_u64(pool);
+            for (i, &mut (l, ref mut c)) in classes.iter_mut().enumerate() {
+                if r < *c {
+                    take(i, l, 1);
+                    *c -= 1;
+                    break;
+                }
+                r -= *c;
+            }
+            pool -= 1;
+        }
+        return;
+    }
     let mut pool = remaining;
     let mut left = block;
     for (i, &mut (l, ref mut c)) in classes.iter_mut().enumerate() {
@@ -1578,7 +1183,7 @@ fn place_histogram_below_with<R: Rng64 + ?Sized>(
     t: Option<u32>,
     count: u64,
     scratch: &mut Vec<(u32, u64)>,
-    hit_scratch: &mut Vec<u64>,
+    cells: &mut Vec<u64>,
     rng: &mut R,
 ) -> BatchStats {
     if count == 0 {
@@ -1606,7 +1211,7 @@ fn place_histogram_below_with<R: Rng64 + ?Sized>(
     while left >= ROUND_CUTOFF {
         let k = hist.open_bins(t);
         samples += round_samples(left, k as f64 / n as f64, rng);
-        let kept = round_uniform(hist, t, left, scratch, hit_scratch, rng);
+        let kept = round_uniform(hist, t, left, scratch, cells, rng);
         debug_assert!(kept > 0, "a round with open capacity must place something");
         if kept == 0 {
             break; // defensive: the exact tail below is always correct
@@ -2041,7 +1646,7 @@ pub fn sharded_shuffled_loads<R: Rng64 + ?Sized>(
         let block = SHARD_BLOCK.min(remaining);
         block_composition(&mut classes, remaining, block, rng, |i, _, t| {
             // lint:allow(N1): t ≤ SHARD_BLOCK = 2¹⁰ fits u32 by construction
-            comps[b * k + i] = t as u32
+            comps[b * k + i] += t as u32
         });
         remaining -= block;
     }
@@ -2128,7 +1733,7 @@ where
     let mut total_samples = 0u64;
     let mut max_samples = 0u64;
     let mut scratch: Vec<(u32, u64)> = Vec::new();
-    let mut hit_scratch: Vec<u64> = Vec::new();
+    let mut cells: Vec<u64> = Vec::new();
     let mut ball = 1u64;
     while ball <= cfg.m {
         let seg = schedule.histogram_segment(cfg, ball);
@@ -2140,7 +1745,7 @@ where
         let count = end - ball + 1;
         let stats = match seg.rule {
             LandingRule::UniformBelow(t) => {
-                place_histogram_below_with(&mut hist, t, count, &mut scratch, &mut hit_scratch, rng)
+                place_histogram_below_with(&mut hist, t, count, &mut scratch, &mut cells, rng)
             }
             LandingRule::LeastOfD(d) => place_least_of_d(&mut hist, d, count, rng),
         };
@@ -2232,8 +1837,10 @@ mod tests {
 
     #[test]
     fn scatter_conserves_mass_in_every_path() {
-        // (c, h) pairs chosen to hit: single bin, per-hit, per-bin
-        // chain, and the hazard walk.
+        // One round of h hits on c empty bins capped at `cap`, with
+        // (c, h) chosen to hit every profile path: single bin, per-hit
+        // walk, per-bin chain, and the hazard walk (the last case with
+        // a profile whose base sits far above zero).
         for (c, h, cap) in [
             (1u64, 1000u64, Some(7u32)),
             (100, 50, Some(3)),
@@ -2244,7 +1851,8 @@ mod tests {
         ] {
             let mut hist = OccupancyHistogram::new(c as usize);
             let mut rng = SplitMix64::new(c ^ h);
-            let kept = scatter_class(&mut hist, 0, c, h, cap, &mut Vec::new(), &mut rng);
+            let (mut scratch, mut cells) = (Vec::new(), Vec::new());
+            let kept = round_uniform(&mut hist, cap, h, &mut scratch, &mut cells, &mut rng);
             hist.check_invariants();
             assert!(kept <= h, "c={c} h={h}: kept {kept} > thrown {h}");
             assert!(kept >= 1);
@@ -2261,17 +1869,18 @@ mod tests {
     #[test]
     fn scatter_hazard_mean_matches_exact_path() {
         // Number of untouched bins after h hits on c bins: the hazard
-        // walk's level-0 count must agree in mean with the exact
-        // per-bin chain, c·(1−1/c)^h.
+        // walk's level-0 count (after the drift repair) must agree in
+        // mean with the exact law, c·(1−1/c)^h.
         let (c, h) = (500u64, 800u64);
         let reps = 600;
         let expect = c as f64 * (1.0 - 1.0 / c as f64).powi(h as i32);
         let mut rng = SplitMix64::new(9);
+        let mut cells = Vec::new();
         let mut mean = 0.0;
         for _ in 0..reps {
-            let mut hist = OccupancyHistogram::new(c as usize);
-            scatter_class(&mut hist, 0, c, h, None, &mut Vec::new(), &mut rng);
-            mean += hist.count(0) as f64 / reps as f64;
+            let base = occupancy_profile(c, h, &mut cells, &mut rng);
+            let untouched = if base == 0 { cells[0] } else { 0 };
+            mean += untouched as f64 / reps as f64;
         }
         // sd of the estimator ≈ √(c·p(1−p)/reps) ≈ 0.4
         assert!(
@@ -2523,18 +2132,22 @@ mod tests {
         let mut cells = Vec::new();
         for seed in 0..20u64 {
             let mut rng = SplitMix64::new(seed);
-            occupancy_profile(1 << 27, 1 << 27, &mut cells, &mut rng);
+            let base = occupancy_profile(1 << 27, 1 << 27, &mut cells, &mut rng);
             assert!(
-                cells.len() as u64 <= park_level(1 << 27, 1 << 27) + 1,
-                "seed {seed}: walk produced {} cells",
+                base + cells.len() as u64 <= park_level(1 << 27, 1.0) + 1,
+                "seed {seed}: walk produced {} cells above {base}",
                 cells.len()
             );
             assert_eq!(cells.iter().sum::<u64>(), 1 << 27);
-            let consumed: u64 = cells.iter().enumerate().map(|(j, &c)| j as u64 * c).sum();
+            let consumed: u64 = cells
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| (base + i as u64) * c)
+                .sum();
             assert_eq!(consumed, 1 << 27);
         }
-        // The capped scatter path at the same scale: one class, all of
-        // stage 3's intake, threshold 4 — the exact shape that stalled.
+        // A capped round at the same scale: one class, the whole
+        // intake, threshold 2 — the shape that stalled the capped walk.
         let mut hist = OccupancyHistogram::new(1 << 27);
         let mut rng = SplitMix64::new(7);
         let n = 1u64 << 27;

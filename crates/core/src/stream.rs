@@ -57,7 +57,9 @@
 //! that the collapsed serial path *is* the stream engine of this crate.
 
 use crate::faults::{FaultKind, FaultPlan};
-use crate::histogram::{rounded_normal_count, split_binomial, OccupancyHistogram};
+use crate::histogram::{
+    binomial_profile, rounded_normal_count, split_binomial, OccupancyHistogram,
+};
 use crate::loads::Loads;
 use crate::protocol::{Observer, Outcome, Protocol, RunConfig};
 use crate::scenario::{strict_int_bound, Family, Scenario};
@@ -462,9 +464,10 @@ fn apply_faults(classes: &mut Classes, plan: &FaultPlan, tick: u64) {
 
 /// One tick of churn on `hist`: every resident ball departs
 /// independently with probability `p` — the downward split. A class of
-/// `c` bins at load `ℓ` splits multinomially over the per-bin
-/// `Binomial(ℓ, p)` departure counts via a conditional binomial chain
-/// (exact). Returns the number of departed balls.
+/// `c` bins at load `ℓ` splits over the per-bin `Binomial(ℓ, p)`
+/// departure counts by [`binomial_profile`] (exact as a chain, and
+/// seeded in log space, so `(1−p)^ℓ` underflowing at heavy loads does
+/// not empty the class). Returns the number of departed balls.
 pub fn departure_split<R: Rng64 + ?Sized>(
     hist: &mut OccupancyHistogram,
     p: f64,
@@ -474,52 +477,19 @@ pub fn departure_split<R: Rng64 + ?Sized>(
         return 0;
     }
     let levels: Vec<(u32, u64)> = hist.levels().collect();
-    if p >= 1.0 {
-        let mut departed = 0u64;
-        for (l, c) in levels {
-            if l > 0 {
-                hist.demote(l, c, l);
-                departed += l as u64 * c;
-            }
-        }
-        return departed;
-    }
-    let q = 1.0 - p;
+    let mut cells = Vec::new();
     let mut departed = 0u64;
     // Ascending class order: demoted bins land in classes already
     // processed, so no bin departs twice in one tick.
     for (l, c) in levels {
-        if l == 0 {
-            continue;
-        }
-        let exp = i32::try_from(l).expect("load level fits i32");
-        let mut pmf = q.powi(exp); // P[K = 0]
-        let mut rem_bins = c;
-        let mut rem_prob = 1.0f64;
-        // K = 0 keeps its bins in place.
-        let stay = if rem_prob > pmf {
-            split_binomial(rem_bins, (pmf / rem_prob).clamp(0.0, 1.0), rng)
-        } else {
-            rem_bins
-        };
-        rem_bins -= stay;
-        rem_prob -= pmf;
-        for k in 1..=l {
-            if rem_bins == 0 {
-                break;
-            }
-            pmf *= (l - k + 1) as f64 / k as f64 * (p / q);
-            let x = if k == l || rem_prob <= pmf {
-                rem_bins
-            } else {
-                split_binomial(rem_bins, (pmf / rem_prob).clamp(0.0, 1.0), rng)
-            };
-            if x > 0 {
-                hist.demote(l, x, k);
-                departed += x * k as u64;
-            }
-            rem_bins -= x;
-            rem_prob -= pmf;
+        let base = binomial_profile(c, u64::from(l), p, &mut cells, rng);
+        for (k, &bins) in (base..).zip(cells.iter()) {
+            hist.demote(
+                l,
+                bins,
+                u32::try_from(k).expect("departures are bounded by the load"),
+            );
+            departed += bins * k;
         }
     }
     departed
@@ -841,6 +811,25 @@ mod tests {
         let rest = h.total_balls();
         assert_eq!(departure_split(&mut h, 1.0, &mut rng), rest);
         assert_eq!(h.total_balls(), 0);
+    }
+
+    #[test]
+    fn departure_split_survives_pmf_underflow() {
+        // (1 − 0.1)^8000 ≈ e⁻⁸⁴³ underflows f64: a walk seeded with
+        // `powi` saw P[K = k] = 0 at every level and emptied the class.
+        // Binomial(80000, 0.1): mean 8000, σ ≈ 84.9.
+        let mut h = OccupancyHistogram::new(10);
+        h.promote(0, 10, 8000);
+        let mut rng = SeedSequence::new(8000).rng();
+        let gone = departure_split(&mut h, 0.1, &mut rng);
+        h.check_invariants();
+        assert_eq!(h.total_balls(), 80_000 - gone);
+        let sigma = (80_000.0f64 * 0.1 * 0.9).sqrt();
+        assert!(
+            (gone as f64 - 8000.0).abs() < 5.0 * sigma,
+            "departed {gone}, expected 8000 ± {:.0}",
+            5.0 * sigma
+        );
     }
 
     #[test]

@@ -57,9 +57,7 @@
 //!
 //! [`Scenario::weighted`]: crate::scenario::Scenario::weighted
 
-use crate::histogram::{
-    random_permutation, round_uniform, stream_samples_for_hits_bounded, OccupancyHistogram,
-};
+use crate::histogram::{random_permutation, round_samples, round_uniform, OccupancyHistogram};
 use crate::protocol::{drive_sequential, Engine, Observer, Outcome, Protocol, RunConfig};
 use crate::scenario::{strict_int_bound, Scenario, WeightedSchedule};
 use bib_rng::dist::{AliasTable, Distribution, GeometricSampler};
@@ -75,11 +73,6 @@ pub const MAX_WEIGHT_CLASSES: usize = 64;
 /// paying for its per-class fixed cost and the exact per-ball tail
 /// takes over (mirrors the uniform histogram engine's cutoff).
 const ROUND_CUTOFF: u64 = 16;
-
-/// Exact-summation ceiling for the negative-binomial allocation-time
-/// draw of a weighted round (the histogram engine's small ceiling: many
-/// small rounds per segment).
-const SAMPLES_EXACT_CUTOFF: u64 = 32;
 
 /// Validates a weight vector: non-empty, every entry finite and
 /// non-negative, at least one entry positive. Returns the total weight.
@@ -536,7 +529,7 @@ where
     let mut total_samples = 0u64;
     let mut max_samples = 0u64;
     let mut scratch: Vec<(u32, u64)> = Vec::new();
-    let mut hit_scratch: Vec<u64> = Vec::new();
+    let mut cells: Vec<u64> = Vec::new();
     let mut bounds: Vec<Option<u32>> = vec![None; k];
     let mut ball = 1u64;
     while ball <= m {
@@ -566,7 +559,7 @@ where
             &bounds,
             count,
             &mut scratch,
-            &mut hit_scratch,
+            &mut cells,
             rng,
         );
         total_samples += stats.0;
@@ -605,7 +598,7 @@ fn place_weighted_segment<R: Rng64 + ?Sized>(
     bounds: &[Option<u32>],
     count: u64,
     scratch: &mut Vec<(u32, u64)>,
-    hit_scratch: &mut Vec<u64>,
+    cells: &mut Vec<u64>,
     rng: &mut R,
 ) -> (u64, u64) {
     if count == 0 {
@@ -657,7 +650,7 @@ fn place_weighted_segment<R: Rng64 + ?Sized>(
         samples += if unbounded_only {
             left
         } else {
-            stream_samples_for_hits_bounded(left, p.min(1.0), SAMPLES_EXACT_CUTOFF, rng)
+            round_samples(left, p.min(1.0), rng)
         };
         // Split the round's hits over the open classes (conditional
         // binomial chain over open mass; the last open class surely
@@ -683,7 +676,7 @@ fn place_weighted_segment<R: Rng64 + ?Sized>(
             rem_hits -= h;
             rem_mass -= masses[c];
             if h > 0 {
-                kept += round_uniform(&mut hists[c], bounds[c], h, scratch, hit_scratch, rng);
+                kept += round_uniform(&mut hists[c], bounds[c], h, scratch, cells, rng);
             }
         }
         debug_assert!(kept > 0, "a weighted round with open capacity must place");

@@ -468,3 +468,117 @@ fn greedy_kernel_matches_exact_enumeration_n3_m6() {
     let chi = chi_square_gof(&counts, &probs, 0, 5.0);
     assert!(chi.p_value > 1e-4, "{chi:?}\n{observed:?}\n{law:?}");
 }
+
+/// The exact law of the occupancy profile of `hits` uniform throws on
+/// `bins` bins, keyed by the profile's nonzero multiplicities in
+/// descending order (an integer partition of `hits` into at most
+/// `bins` parts): `P = bins!/∏ c_j! · hits!/∏ x_i! · bins^−hits`, where
+/// `c_j` counts the bins holding `j` throws (zeros included) and `x_i`
+/// runs over the parts.
+fn occupancy_law(bins: u64, hits: u64) -> std::collections::BTreeMap<Vec<u64>, f64> {
+    fn parts(left: u64, max: u64, slots: u64, cur: &mut Vec<u64>, out: &mut Vec<Vec<u64>>) {
+        if left == 0 {
+            out.push(cur.clone());
+            return;
+        }
+        if slots == 0 {
+            return;
+        }
+        for x in (1..=max.min(left)).rev() {
+            cur.push(x);
+            parts(left - x, x, slots - 1, cur, out);
+            cur.pop();
+        }
+    }
+    let mut ln_fact = vec![0.0f64; (bins.max(hits) + 1) as usize];
+    for i in 1..ln_fact.len() {
+        ln_fact[i] = ln_fact[i - 1] + (i as f64).ln();
+    }
+    let mut all = Vec::new();
+    parts(hits, hits, bins, &mut Vec::new(), &mut all);
+    all.into_iter()
+        .map(|p| {
+            let mut c = std::collections::BTreeMap::new();
+            *c.entry(0u64).or_insert(0u64) += bins - p.len() as u64;
+            for &x in &p {
+                *c.entry(x).or_insert(0) += 1;
+            }
+            let ln_p = ln_fact[bins as usize]
+                - c.values().map(|&k| ln_fact[k as usize]).sum::<f64>()
+                + ln_fact[hits as usize]
+                - p.iter().map(|&x| ln_fact[x as usize]).sum::<f64>()
+                - hits as f64 * (bins as f64).ln();
+            (p, ln_p.exp())
+        })
+        .collect()
+}
+
+#[test]
+fn occupancy_profile_matches_the_exact_multinomial_law() {
+    // The profile's exact regimes against the enumerated law: the
+    // per-bin chain (bins ≤ 64, hits > 64 — the regime the parallel
+    // round engines reach too) and the per-hit walk (hits ≤ 64).
+    use bib_analysis::chisq::chi_square_gof;
+    use bib_core::histogram::occupancy_profile;
+    for (bins, hits) in [(3u64, 70u64), (200, 40)] {
+        let law = occupancy_law(bins, hits);
+        assert!((law.values().sum::<f64>() - 1.0).abs() < 1e-9);
+        let reps = 20_000u64;
+        let mut observed: std::collections::BTreeMap<Vec<u64>, u64> =
+            law.keys().map(|p| (p.clone(), 0)).collect();
+        let mut rng = bib_rng::SplitMix64::new(bins * 1000 + hits);
+        let mut cells = Vec::new();
+        for _ in 0..reps {
+            let base = occupancy_profile(bins, hits, &mut cells, &mut rng);
+            assert_eq!(cells.iter().sum::<u64>(), bins);
+            let mut key: Vec<u64> = (base..)
+                .zip(cells.iter())
+                .filter(|&(j, _)| j > 0)
+                .flat_map(|(j, &c)| std::iter::repeat_n(j, c as usize))
+                .collect();
+            key.sort_unstable_by(|a, b| b.cmp(a));
+            *observed
+                .get_mut(&key)
+                .expect("the profile is a partition of the hits") += 1;
+        }
+        let counts: Vec<u64> = observed.values().copied().collect();
+        let probs: Vec<f64> = law.values().copied().collect();
+        let chi = chi_square_gof(&counts, &probs, 0, 5.0);
+        assert!(chi.p_value > 1e-4, "bins={bins} hits={hits}: {chi:?}");
+    }
+}
+
+#[test]
+fn occupancy_walk_cells_sit_at_exact_marginals() {
+    // Above both exact thresholds the profile is a Poisson walk plus a
+    // drift repair; every expected cell count must still be the exact
+    // `bins · P(Bin(hits, 1/bins) = j)`. A repair that nudges uniformly
+    // chosen bins down instead of uniformly chosen hits left N₀ about
+    // 7% high at (126, 300) — the overflow bias behind the histogram
+    // engine's allocation-time excess.
+    use bib_core::histogram::occupancy_profile;
+    for (bins, hits) in [(126u64, 300u64), (1000, 5000)] {
+        let reps = 20_000u64;
+        let mut sum = vec![0u64; 64];
+        let mut rng = bib_rng::SplitMix64::new(bins + hits);
+        let mut cells = Vec::new();
+        for _ in 0..reps {
+            let base = occupancy_profile(bins, hits, &mut cells, &mut rng);
+            for (j, &c) in (base..).zip(cells.iter()) {
+                sum[(j as usize).min(63)] += c;
+            }
+        }
+        let p = 1.0 / bins as f64;
+        let mut ln_pmf = hits as f64 * (-p).ln_1p();
+        for (j, &s) in sum.iter().enumerate().take(63) {
+            let exact = bins as f64 * ln_pmf.exp();
+            let mean = s as f64 / reps as f64;
+            let se = (exact / reps as f64).sqrt();
+            assert!(
+                (mean - exact).abs() < 5.0 * se + 1e-3,
+                "bins={bins} hits={hits} j={j}: mean {mean:.4} vs exact {exact:.4}"
+            );
+            ln_pmf += ((hits - j as u64) as f64 / (j + 1) as f64 * p / (1.0 - p)).ln();
+        }
+    }
+}

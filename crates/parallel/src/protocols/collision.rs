@@ -241,25 +241,25 @@ impl Collision {
                 self.max_rounds
             );
             messages += unplaced;
-            occupancy_profile(n as u64, unplaced, &mut cells, rng);
+            let base = occupancy_profile(n as u64, unplaced, &mut cells, rng);
             let mut slots = LevelSlots::snapshot(&hist, None, level_buf);
             let mut placed_this_round = 0u64;
             // Multiplicity groups are disjoint bin sets: every group —
             // accepted or rejected — consumes its slots so later
             // groups' class splits condition on it.
-            for (j, &nj) in cells.iter().enumerate().skip(1) {
-                if nj == 0 {
+            for (j, &nj) in (base..).zip(cells.iter()) {
+                if j == 0 || nj == 0 {
                     continue;
                 }
-                if j as u64 <= self.c as u64 {
+                if j <= u64::from(self.c) {
                     slots.assign(nj, rng, |l, cnt| hist.promote(l, cnt, j as u32));
-                    placed_this_round += j as u64 * nj;
+                    placed_this_round += j * nj;
                 } else {
                     slots.assign(nj, rng, |_, _| {});
                 }
             }
             // Exactly the untouched bins are left unassigned.
-            debug_assert_eq!(slots.remaining(), cells[0]);
+            debug_assert_eq!(slots.remaining(), if base == 0 { cells[0] } else { 0 });
             level_buf = slots.into_buf();
             messages += placed_this_round; // accept messages
             unplaced -= placed_this_round;
@@ -271,10 +271,10 @@ impl Collision {
                     // unconditional throw, accepted at any
                     // multiplicity.
                     rounds += 1;
-                    occupancy_profile(n as u64, unplaced, &mut cells, rng);
+                    let base = occupancy_profile(n as u64, unplaced, &mut cells, rng);
                     let mut slots = LevelSlots::snapshot(&hist, None, level_buf);
-                    for (j, &nj) in cells.iter().enumerate().skip(1) {
-                        if nj > 0 {
+                    for (j, &nj) in (base..).zip(cells.iter()) {
+                        if j > 0 && nj > 0 {
                             slots.assign(nj, rng, |l, cnt| hist.promote(l, cnt, j as u32));
                         }
                     }

@@ -21,7 +21,9 @@
 //! collision) and unrestricted `greedy[2]`.
 
 use super::round_occupancy::{resolve_round_engine, RoundTrace};
-use bib_core::histogram::{occupancy_profile, split_binomial, OccupancyHistogram};
+use bib_core::histogram::{
+    binomial_profile, occupancy_profile, split_binomial, OccupancyHistogram,
+};
 use bib_core::protocol::{Engine, Observer, Outcome, Protocol, RunConfig};
 use bib_core::scenario::Scenario;
 use bib_rng::{Rng64, RngExt};
@@ -230,8 +232,8 @@ impl ParallelGreedy {
     ///    tie-break does; the candidates are drawn from bins of load
     ///    `≥ ℓ − q`, because surviving a contested bin means the ball's
     ///    last decision preferred the pin at load `ℓ − q` over them),
-    ///    resolved per cell with an exact binomial-pmf chain over
-    ///    per-bin defector counts;
+    ///    resolved per cell by drawing the per-bin defector counts'
+    ///    profile ([`binomial_profile`]);
     /// 2. **fresh requests** — free balls split over the classes by the
     ///    min-of-`d` CDF chain (`P(min rank ∈ [a, a+c)) = ((n−a)/n)^d −
     ///    ((n−a−c)/n)^d`), defectors by the min-of-`d−1` chain
@@ -358,37 +360,22 @@ impl ParallelGreedy {
                     continue;
                 }
                 // Distribute the cell's bins over per-bin defector
-                // counts k ~ Binomial(s, p) with a conditional chain.
-                let mut rem_b = b;
-                let mut pmf = (1.0 - p).powi(s as i32);
-                let mut tail = 1.0f64;
-                for k in 0..=s {
-                    if rem_b == 0 {
-                        break;
+                // counts k ~ Binomial(s, p).
+                let base = binomial_profile(b, u64::from(s), p, cells, rng);
+                for (k, &nk) in (base..).zip(cells.iter()) {
+                    if nk == 0 {
+                        continue;
                     }
-                    let nk = if k == s {
-                        rem_b
-                    } else {
-                        let hazard = if tail <= pmf {
-                            1.0
-                        } else {
-                            (pmf / tail).clamp(0.0, 1.0)
-                        };
-                        split_binomial(rem_b, hazard, rng)
-                    };
-                    if nk > 0 {
-                        rem_b -= nk;
-                        if k > 0 {
-                            *defectors.entry((floor, l)).or_insert(0) += k as u64 * nk;
-                        }
-                        if k < s {
-                            *pinned.entry((l, s - k)).or_insert(0) += nk;
-                        }
-                        // k == s: the bin lost every survivor — it is a
-                        // plain unpinned bin again, no cell to keep.
+                    if k > 0 {
+                        *defectors.entry((floor, l)).or_insert(0) += k * nk;
                     }
-                    tail = (tail - pmf).max(0.0);
-                    pmf *= p / (1.0 - p) * (s - k) as f64 / (k + 1) as f64;
+                    if k < u64::from(s) {
+                        let stay = u32::try_from(u64::from(s) - k)
+                            .expect("survivors are bounded by the pinned count");
+                        *pinned.entry((l, stay)).or_insert(0) += nk;
+                    }
+                    // k == s: the bin lost every survivor — it is a
+                    // plain unpinned bin again, no cell to keep.
                 }
             }
         }
@@ -480,12 +467,12 @@ impl ParallelGreedy {
                 h -= f_cell;
                 // Per-bin fresh multiplicities over the cell's bins; a
                 // bin with s pinned and f fresh admits min(s+f, cap).
-                occupancy_profile(b, f_cell, cells, rng);
-                for (f, &nf_bins) in cells.iter().enumerate() {
+                let base = occupancy_profile(b, f_cell, cells, rng);
+                for (f, &nf_bins) in (base..).zip(cells.iter()) {
                     if nf_bins == 0 {
                         continue;
                     }
-                    let req = s as u64 + f as u64;
+                    let req = s as u64 + f;
                     let adm = req.min(admit_cap);
                     if adm > 0 {
                         hist.promote(l, nf_bins, adm as u32);
@@ -501,15 +488,15 @@ impl ParallelGreedy {
             }
             // Unpinned remainder of the class.
             if h > 0 {
-                occupancy_profile(bins_rem, h, cells, rng);
-                for (f, &nf_bins) in cells.iter().enumerate().skip(1) {
-                    if nf_bins == 0 {
+                let base = occupancy_profile(bins_rem, h, cells, rng);
+                for (f, &nf_bins) in (base..).zip(cells.iter()) {
+                    if f == 0 || nf_bins == 0 {
                         continue;
                     }
-                    let adm = (f as u64).min(admit_cap);
+                    let adm = f.min(admit_cap);
                     hist.promote(l, nf_bins, adm as u32);
                     placed += adm * nf_bins;
-                    let survivors = f as u64 - adm;
+                    let survivors = f - adm;
                     if survivors > 0 {
                         *pinned
                             .entry((l + adm as u32, survivors as u32))

@@ -10,8 +10,13 @@
 //! distribution by the **multiplicity profile** — the number of bins
 //! receiving exactly `k` requests — plus how those bins spread over the
 //! occupancy classes. Both are drawn in `O(max multiplicity + #classes)`
-//! with the primitives `bib-core::histogram` exposes
-//! ([`occupancy_profile`], [`hypergeometric`], [`distinct_hit_count`]):
+//! with the samplers the sequential histogram engine runs on, which
+//! `bib-core::histogram` exposes: the profile from
+//! [`occupancy_profile`] (exact up to 64 contacts or 64 bins, a
+//! Poisson walk with an exact-hit drift repair above), the spread over
+//! classes from [`block_composition`] (behind [`LevelSlots`]), the
+//! accepting-bin count from [`distinct_hit_count`], and the
+//! parallel-greedy defector counts from [`binomial_profile`]:
 //! per-round cost becomes independent of `n` and of the contact count.
 //! On the no-observer path even the final identity reconstruction is
 //! *skipped*: the outcome is a lazy [`bib_core::loads::Loads`] carrying
@@ -41,7 +46,7 @@
 //! silently ignored.
 //!
 //! [`occupancy_profile`]: bib_core::histogram::occupancy_profile
-//! [`hypergeometric`]: bib_core::histogram::hypergeometric
+//! [`binomial_profile`]: bib_core::histogram::binomial_profile
 //! [`distinct_hit_count`]: bib_core::histogram::distinct_hit_count
 //! [`OccupancyHistogram::shuffled_loads`]: bib_core::histogram::OccupancyHistogram::shuffled_loads
 //! [`Engine::resolve_auto`]: bib_core::protocol::Engine::resolve_auto
@@ -49,13 +54,7 @@
 use bib_core::histogram::{block_composition, materialize, random_permutation, OccupancyHistogram};
 use bib_core::loads::Loads;
 use bib_core::protocol::{Engine, Observer};
-use bib_rng::{Rng64, RngExt};
-
-/// Groups of at most this many bins are assigned to their occupancy
-/// classes one exact uniform pick at a time; larger groups run the
-/// hypergeometric chain (mirrors the sequential engine's
-/// `PER_HIT_SPLIT`).
-const EXACT_GROUP: u64 = 8;
+use bib_rng::Rng64;
 
 /// Resolves the engine request for a round protocol: the family's fixed
 /// three-path rule (see the module docs). Never returns `Auto`.
@@ -110,47 +109,14 @@ impl LevelSlots {
     }
 
     /// Assigns `group` bins to classes without replacement, calling
-    /// `f(load, count)` once per receiving class. Exact sequential
-    /// picks for small groups; a hypergeometric chain (exact mean and
-    /// finite-population variance, clamped to the feasible support so
-    /// the chain surely completes) for large ones.
+    /// `f(load, count)` for the bins each class gives up — the shared
+    /// class chain, [`block_composition`].
     pub(crate) fn assign<R, F>(&mut self, group: u64, rng: &mut R, mut f: F)
     where
         R: Rng64 + ?Sized,
         F: FnMut(u32, u64),
     {
         debug_assert!(group <= self.total, "assign: group exceeds the pool");
-        if group == 0 {
-            return;
-        }
-        let live = self.levels.iter().filter(|&&(_, c)| c > 0).count();
-        if live == 1 {
-            let (l, c) = self
-                .levels
-                .iter_mut()
-                .find(|&&mut (_, c)| c > 0)
-                .expect("live == 1");
-            f(*l, group);
-            *c -= group;
-            self.total -= group;
-            return;
-        }
-        if group <= EXACT_GROUP {
-            for _ in 0..group {
-                let mut r = rng.range_u64(self.total);
-                for &mut (l, ref mut c) in self.levels.iter_mut() {
-                    if r < *c {
-                        f(l, 1);
-                        *c -= 1;
-                        break;
-                    }
-                    r -= *c;
-                }
-                self.total -= 1;
-            }
-            return;
-        }
-        // Large groups run the shared conditional-hypergeometric chain.
         block_composition(&mut self.levels, self.total, group, rng, |_, l, t| f(l, t));
         self.total -= group;
     }

@@ -212,3 +212,23 @@ fn four_worker_faulted_stream_completes_and_counts_degradation() {
     assert!(s.shed + s.fallbacks > 0);
     assert_eq!(s.alive_frac, 1.0);
 }
+
+#[test]
+fn heavy_churn_resident_count_matches_the_dense_driver() {
+    // Four bins at ~10⁴ balls each with half of them departing per tick:
+    // (1 − 0.5)^ℓ underflows f64, and a departure split seeded there
+    // emptied every bin each tick (serial resident 0 against ~10⁴ on the
+    // per-ball dense driver). Both drivers must agree to within 10%.
+    let spec = StreamSpec::new(20, 0.5).deterministic();
+    let cfg = RunConfig::new(4, 200_000);
+    let serial = serve(&spec, Family::OneChoice, &cfg, 1);
+    serial.outcome.validate();
+    let dense = serve_concurrent(&spec, Family::OneChoice, &cfg.with_threads(2), 1);
+    dense.outcome.validate();
+    let (s, d) = (serial.outcome.m as f64, dense.outcome.m as f64);
+    assert!(d > 0.0, "dense driver kept nothing");
+    assert!(
+        (s - d).abs() <= 0.1 * d,
+        "resident balls: serial {s} vs dense {d}"
+    );
+}
