@@ -94,17 +94,28 @@ fn batch_engine_streams_are_pinned() {
 }
 
 /// `(loads hash, total_samples, series hash, latency hash)`.
-fn serve_fingerprint(family: Family, threads: usize, seed: u64) -> (u64, u64, u64, u64) {
-    let spec = StreamSpec::new(60, 0.05)
+type ServeFingerprint = (u64, u64, u64, u64);
+
+/// The mass-failure drill every pinned serve case runs under, at
+/// per-ball departure probability `depart`.
+fn drill(depart: f64) -> StreamSpec {
+    StreamSpec::new(60, depart)
         .with_faults(FaultPlan::mass_failure(20, 0.5, 40, 9))
         .with_retry(RetryPolicy {
             probe_budget: 6,
             retry_budget: 3,
             backoff_cap: 4,
             fallback_alive_frac: 0.6,
-        });
-    let cfg = RunConfig::new(4096, 60 * 1024).with_threads(threads);
-    let report = serve_concurrent(&spec, family, &cfg, seed);
+        })
+}
+
+fn serve_fingerprint(
+    spec: &StreamSpec,
+    cfg: &RunConfig,
+    family: Family,
+    seed: u64,
+) -> ServeFingerprint {
+    let report = serve_concurrent(spec, family, cfg, seed);
     report.outcome.validate();
     let mut series = Fnv::new();
     for t in &report.series {
@@ -137,10 +148,18 @@ fn serve_fingerprint(family: Family, threads: usize, seed: u64) -> (u64, u64, u6
 
 #[test]
 fn serve_streams_are_pinned() {
-    let cases = [
+    // `(depart, n, arrivals per tick, family, seed, fingerprint)`.
+    // The departure law runs its mirrored inversion at p > ½, its
+    // rounded-normal branch once a bin's load puts `ℓ·p·(1−p)` at 4 or
+    // more (the adaptive case's steady state sits near ℓ = 96), and
+    // nothing at all at p = 0.
+    let cases: [(f64, usize, u64, Family, u64, ServeFingerprint); 5] = [
         (
+            0.05,
+            4096,
+            1024,
             Family::Greedy(2),
-            41u64,
+            41,
             (
                 0xde76_8995_4373_009a,
                 121_911,
@@ -149,6 +168,9 @@ fn serve_streams_are_pinned() {
             ),
         ),
         (
+            0.05,
+            4096,
+            1024,
             Family::Adaptive,
             42,
             (
@@ -158,11 +180,55 @@ fn serve_streams_are_pinned() {
                 0xc1c6_f7b9_51b4_3212,
             ),
         ),
+        (
+            0.6,
+            1024,
+            8 * 1024,
+            Family::Greedy(2),
+            43,
+            (
+                0x0166_ec43_3dcf_d1c9,
+                982_792,
+                0xf8fb_285c_f742_048a,
+                0x2ce0_6160_5882_d095,
+            ),
+        ),
+        (
+            0.25,
+            512,
+            24 * 512,
+            Family::Adaptive,
+            44,
+            (
+                0xf732_972f_c672_e1d4,
+                1_387_818,
+                0x5572_0369_313b_3991,
+                0xc55b_6420_a35f_c0e2,
+            ),
+        ),
+        (
+            0.0,
+            1024,
+            2 * 1024,
+            Family::Threshold,
+            45,
+            (
+                0xbfd1_1dd2_2ed3_7946,
+                198_244,
+                0x26d4_3b19_1d2a_4b1c,
+                0x2b77_82a0_a04f_2ec0,
+            ),
+        ),
     ];
-    for (family, seed, want) in cases {
+    for (depart, n, per_tick, family, seed, want) in cases {
+        let spec = drill(depart);
         for threads in [1usize, 2] {
-            let got = serve_fingerprint(family, threads, seed);
-            assert_eq!(got, want, "{family:?} at {threads} threads: got {got:#x?}");
+            let cfg = RunConfig::new(n, 60 * per_tick).with_threads(threads);
+            let got = serve_fingerprint(&spec, &cfg, family, seed);
+            assert_eq!(
+                got, want,
+                "{family:?} at depart {depart}, {threads} threads: got {got:#x?}"
+            );
         }
     }
 }
