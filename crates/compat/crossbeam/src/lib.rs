@@ -13,8 +13,9 @@
 //!   `bib-parallel` need.
 //!
 //! The implementations delegate to `std::sync` (`mpsc`, `Mutex`,
-//! `Condvar`, `thread::scope`), which provide the same semantics for
-//! these usage patterns. Swapping in the real crossbeam later only
+//! `Condvar`, atomics, `thread::scope`), which provide the same
+//! semantics for these usage patterns; the barrier is a spin-then-park
+//! one (see [`pool::Rounds`]). Swapping in the real crossbeam later only
 //! requires deleting this crate from the workspace and pointing
 //! `[workspace.dependencies]` at the registry.
 
@@ -27,6 +28,17 @@ pub mod pool {
     //! and [`Rounds::sync`] separates the phases of a round so that all
     //! writes before the barrier are visible to every worker after it.
     //!
+    //! # Spin, then park
+    //!
+    //! A superstep's phases are short and nearly balanced, so most
+    //! waits at the barrier end within microseconds, while parking on
+    //! a `Condvar` costs a futex sleep and a wake-up per worker and
+    //! round. A waiter therefore first polls the round counter for a
+    //! bounded number of `spin_loop` iterations (no clock) and parks
+    //! only after that. A pool with more workers than the host has
+    //! cores parks at once: there, a spinning waiter would hold the
+    //! core the worker it waits for needs.
+    //!
     //! # Panic propagation
     //!
     //! The barrier is *poisonable*: when any worker panics, every other
@@ -38,6 +50,8 @@ pub mod pool {
     //! (the scope join waits on them, they wait on the dead worker).
 
     use std::panic::{catch_unwind, panic_any, resume_unwind, AssertUnwindSafe};
+    // ORDERING: import only; every use site documents its own ordering.
+    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
     use std::sync::{Condvar, Mutex, MutexGuard};
 
     /// Private unwind payload used to release workers parked at a
@@ -45,46 +59,82 @@ pub mod pool {
     /// panic payload is what propagates).
     struct BarrierPoisoned;
 
-    struct BarrierState {
-        count: usize,
-        generation: u64,
-        poisoned: bool,
+    /// `spin_loop` iterations a waiter polls the round counter before
+    /// it parks. No clock (rule D1): a bounded count of CPU pause
+    /// hints, tens to hundreds of microseconds on current hardware —
+    /// long enough to cover the phase imbalance of a superstep round,
+    /// short enough that a long wait still sleeps.
+    const SPIN_LIMIT: u32 = 1 << 16;
+
+    /// How long a waiter spins before parking: [`SPIN_LIMIT`] when every
+    /// worker can own a core, 0 when the pool is oversubscribed (a
+    /// spinning waiter would then steal the core of the very worker it
+    /// waits for).
+    pub(crate) fn spin_limit(workers: usize, available: usize) -> u32 {
+        if workers <= available {
+            SPIN_LIMIT
+        } else {
+            0
+        }
     }
 
     /// The per-round synchronization handle passed to every worker.
+    ///
+    /// A spin-then-park barrier. Arrival is an atomic counter; release
+    /// is a round (generation) counter the last arriver bumps with a
+    /// `Release` store and waiters poll with `Acquire` loads, spinning
+    /// up to a bounded number of iterations and then parking on a
+    /// `Condvar`.
     pub struct Rounds {
-        lock: Mutex<BarrierState>,
+        /// Workers that reached the current round's barrier.
+        // ORDERING: AcqRel increments (see `sync`).
+        arrived: AtomicUsize,
+        /// Completed rounds.
+        // ORDERING: Release store by the last arriver, Acquire loads.
+        generation: AtomicU64,
+        // ORDERING: SeqCst store in `poison`, re-checked under the lock.
+        poisoned: AtomicBool,
+        /// Waiters parked (or about to park) on `cvar`.
+        // ORDERING: SeqCst handshake with the generation store.
+        sleepers: AtomicUsize,
+        lock: Mutex<()>,
         cvar: Condvar,
         workers: usize,
+        spin: u32,
     }
 
     impl Rounds {
-        fn new(workers: usize) -> Self {
+        fn new(workers: usize, spin: u32) -> Self {
             Self {
-                lock: Mutex::new(BarrierState {
-                    count: 0,
-                    generation: 0,
-                    poisoned: false,
-                }),
+                // ORDERING: construction; see `sync` for the protocol.
+                arrived: AtomicUsize::new(0),
+                generation: AtomicU64::new(0),
+                poisoned: AtomicBool::new(false),
+                // ORDERING: construction; see `sync` for the protocol.
+                sleepers: AtomicUsize::new(0),
+                lock: Mutex::new(()),
                 cvar: Condvar::new(),
                 workers,
+                spin,
             }
         }
 
-        /// The barrier's own mutex poisoning is impossible by
-        /// construction (no caller panics while holding the guard), but
-        /// recovering the inner state keeps the release path alive even
-        /// if that invariant is ever broken.
-        fn state(&self) -> MutexGuard<'_, BarrierState> {
+        /// The parking mutex guards no data (the protocol state is
+        /// atomic), so its poisoning carries nothing to recover from.
+        fn park_lock(&self) -> MutexGuard<'_, ()> {
             self.lock.lock().unwrap_or_else(|e| e.into_inner())
         }
 
         /// Blocks until every worker has called `sync`. All memory
         /// writes sequenced before any worker's `sync` happen-before
         /// everything sequenced after the matching `sync` in every
-        /// other worker (mutex release/acquire on the shared barrier
-        /// state) — this is the only inter-phase ordering the round
-        /// engines rely on.
+        /// other worker — this is the only inter-phase ordering the
+        /// round engines rely on. The edge: each arrival's `AcqRel`
+        /// increment joins the arrival counter's release sequence, the
+        /// last arriver's increment acquires all of them, and its
+        /// `Release` store of the next generation is what every
+        /// waiter's `Acquire` load (spinning or after parking)
+        /// synchronizes with.
         ///
         /// # Panics
         ///
@@ -92,37 +142,85 @@ pub mod pool {
         /// poisoned by a panicking worker; [`scoped`] catches the
         /// sentinel and re-raises the original panic on the caller.
         pub fn sync(&self) {
-            let mut st = self.state();
-            if st.poisoned {
-                drop(st);
+            // ORDERING: Acquire — pairs with `poison`'s SeqCst store.
+            if self.poisoned.load(Ordering::Acquire) {
                 panic_any(BarrierPoisoned);
             }
-            let gen = st.generation;
-            st.count += 1;
-            if st.count == self.workers {
-                st.count = 0;
-                st.generation += 1;
-                self.cvar.notify_all();
+            // ORDERING: Acquire — this round's number; it cannot move
+            // until this worker arrives below.
+            let gen = self.generation.load(Ordering::Acquire);
+            // ORDERING: AcqRel — releases this worker's phase writes
+            // into the arrival counter's release sequence; the last
+            // arriver's increment acquires every earlier one.
+            if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.workers {
+                // ORDERING: Relaxed — ordered before the generation
+                // store below; no worker re-arrives before seeing it.
+                self.arrived.store(0, Ordering::Relaxed);
+                // ORDERING: SeqCst — the Release edge every waiter
+                // acquires, and one half of the sleeper handshake
+                // (store generation, then load sleepers).
+                self.generation.store(gen + 1, Ordering::SeqCst);
+                // ORDERING: SeqCst — the other half of the handshake.
+                if self.sleepers.load(Ordering::SeqCst) > 0 {
+                    // A parker between its checks and its wait holds
+                    // the lock; taking it here means it is waiting.
+                    drop(self.park_lock());
+                    self.cvar.notify_all();
+                }
                 return;
             }
+            for _ in 0..self.spin {
+                // ORDERING: Acquire — pairs with the last arriver's
+                // generation store.
+                if self.generation.load(Ordering::Acquire) != gen {
+                    return;
+                }
+                // ORDERING: Relaxed — a hint to stop spinning; the
+                // parked path re-checks it under the lock.
+                if self.poisoned.load(Ordering::Relaxed) {
+                    break;
+                }
+                std::hint::spin_loop();
+            }
+            self.park(gen);
+        }
+
+        /// Parks until round `gen` completes or the barrier is
+        /// poisoned.
+        fn park(&self, gen: u64) {
+            let mut guard = self.park_lock();
+            // ORDERING: SeqCst — announce before re-checking the
+            // generation: the last arriver either sees a sleeper and
+            // notifies, or its store is visible to the check below.
+            self.sleepers.fetch_add(1, Ordering::SeqCst);
             // RETRY: condvar wait loop; exits when the round completes
             // (generation bump) or the barrier is poisoned — both are
             // one-way transitions, so the loop terminates.
-            while st.generation == gen && !st.poisoned {
-                st = self.cvar.wait(st).unwrap_or_else(|e| e.into_inner());
+            // ORDERING: SeqCst — the sleeper handshake (see `sync`).
+            while self.generation.load(Ordering::SeqCst) == gen
+                // ORDERING: SeqCst — `poison` notifies under the lock.
+                && !self.poisoned.load(Ordering::SeqCst)
+            {
+                guard = self.cvar.wait(guard).unwrap_or_else(|e| e.into_inner());
             }
-            if st.poisoned && st.generation == gen {
+            // ORDERING: SeqCst — leaving the handshake.
+            self.sleepers.fetch_sub(1, Ordering::SeqCst);
+            // ORDERING: SeqCst — same reads as the loop condition.
+            let released = self.generation.load(Ordering::SeqCst) != gen;
+            drop(guard);
+            if !released {
                 // Released by poison, not by a completed round: this
                 // round can never complete, so unwind out of the phase.
-                drop(st);
                 panic_any(BarrierPoisoned);
             }
         }
 
-        /// Marks the barrier dead and releases every parked worker.
+        /// Marks the barrier dead and releases every waiting worker.
         fn poison(&self) {
-            let mut st = self.state();
-            st.poisoned = true;
+            // ORDERING: SeqCst — spinners see it on their next poll;
+            // parkers re-check it under the lock taken below.
+            self.poisoned.store(true, Ordering::SeqCst);
+            drop(self.park_lock());
             self.cvar.notify_all();
         }
 
@@ -147,8 +245,22 @@ pub mod pool {
     where
         F: Fn(usize, &Rounds) + Sync,
     {
+        let spin = if workers > 1 {
+            let available = std::thread::available_parallelism().map_or(1, |n| n.get());
+            spin_limit(workers, available)
+        } else {
+            0
+        };
+        scoped_spinning(workers, spin, f);
+    }
+
+    /// [`scoped`] with an explicit spin budget per barrier wait.
+    fn scoped_spinning<F>(workers: usize, spin: u32, f: F)
+    where
+        F: Fn(usize, &Rounds) + Sync,
+    {
         let workers = workers.max(1);
-        let rounds = Rounds::new(workers);
+        let rounds = Rounds::new(workers, spin);
         if workers == 1 {
             f(0, &rounds);
             return;
@@ -273,6 +385,75 @@ pub mod pool {
             });
             let payload = caught.expect_err("panic must propagate");
             assert_eq!(payload.downcast_ref::<&str>(), Some(&"caller died"));
+        }
+
+        #[test]
+        fn spin_only_when_every_worker_has_a_core() {
+            assert_eq!(spin_limit(1, 1), SPIN_LIMIT);
+            assert_eq!(spin_limit(2, 2), SPIN_LIMIT);
+            assert_eq!(spin_limit(4, 64), SPIN_LIMIT);
+            assert_eq!(spin_limit(3, 2), 0, "oversubscribed pools park at once");
+            assert_eq!(spin_limit(8, 2), 0, "oversubscribed pools park at once");
+        }
+
+        #[test]
+        fn panic_while_a_waiter_spins_propagates_the_original_payload() {
+            // Worker 1 spins with an effectively unbounded budget, so
+            // only the poison flag can end its wait; worker 0 panics
+            // once worker 1 has provably arrived.
+            let caught = std::panic::catch_unwind(|| {
+                scoped_spinning(2, u32::MAX, |w, rounds| {
+                    if w == 0 {
+                        // ORDERING: Acquire — observes worker 1's
+                        // AcqRel arrival.
+                        while rounds.arrived.load(Ordering::Acquire) == 0 {
+                            std::hint::spin_loop();
+                        }
+                        panic!("leader died mid-round");
+                    }
+                    rounds.sync();
+                });
+            });
+            let payload = caught.expect_err("panic must propagate");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"leader died mid-round")
+            );
+        }
+
+        #[test]
+        fn imbalanced_rounds_stay_separated() {
+            // Each round one worker (rotating) does far more work than
+            // the rest, so the others wait in the spin phase, in the
+            // parked phase, or cross between them; every round must
+            // still see every worker's contribution and none of the
+            // next round's.
+            const ROUNDS: u64 = 200;
+            for spin in [0, 64, SPIN_LIMIT] {
+                // ORDERING: Relaxed adds; the barrier publishes.
+                let total = AtomicU64::new(0);
+                scoped_spinning(4, spin, |w, rounds| {
+                    for round in 0..ROUNDS {
+                        if round % 4 == w as u64 {
+                            let mut x = round;
+                            for i in 0..5_000u64 {
+                                x = std::hint::black_box(x.wrapping_mul(31).wrapping_add(i));
+                            }
+                        }
+                        // ORDERING: Relaxed — the barrier below
+                        // publishes.
+                        total.fetch_add(1, Ordering::Relaxed);
+                        rounds.sync();
+                        // ORDERING: Relaxed — ordered by the barrier
+                        // above; the next round's adds wait for the
+                        // barrier below.
+                        assert_eq!(total.load(Ordering::Relaxed), 4 * (round + 1));
+                        rounds.sync();
+                    }
+                });
+                // ORDERING: Relaxed — read after the scope joins.
+                assert_eq!(total.load(Ordering::Relaxed), 4 * ROUNDS, "spin {spin}");
+            }
         }
 
         #[test]

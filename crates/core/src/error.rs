@@ -1,4 +1,4 @@
-//! Typed protocol failures.
+//! Typed protocol and configuration failures.
 //!
 //! Infeasible configurations and exhausted work budgets used to abort
 //! with `panic!`/`assert!` deep inside the drivers, which is the wrong
@@ -62,6 +62,40 @@ impl std::fmt::Display for ProtocolError {
 
 impl std::error::Error for ProtocolError {}
 
+/// A configuration rejected before any run starts: a count that must be
+/// positive is zero, or a probability lies outside `[0, 1]`. The CLI
+/// reports it on stderr and exits 2 (a usage error), the same as a
+/// malformed flag.
+#[derive(Debug, Clone, PartialEq)]
+#[non_exhaustive]
+pub enum ConfigError {
+    /// `field` must be at least 1.
+    Zero {
+        /// The offending field.
+        field: &'static str,
+    },
+    /// `field` must be a probability in `[0, 1]`.
+    NotAProbability {
+        /// The offending field.
+        field: &'static str,
+        /// Its value.
+        value: f64,
+    },
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigError::Zero { field } => write!(f, "{field} must be at least 1"),
+            ConfigError::NotAProbability { field, value } => {
+                write!(f, "{field} = {value} is outside [0, 1]")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,6 +117,21 @@ mod tests {
         assert_eq!(
             ProtocolError::KickBudgetExhausted { kicks: 9 }.to_string(),
             "cuckoo kick budget exhausted after 9 kicks"
+        );
+        assert_eq!(
+            ConfigError::Zero {
+                field: "probe_budget"
+            }
+            .to_string(),
+            "probe_budget must be at least 1"
+        );
+        assert_eq!(
+            ConfigError::NotAProbability {
+                field: "fallback_alive_frac",
+                value: 2.0
+            }
+            .to_string(),
+            "fallback_alive_frac = 2 is outside [0, 1]"
         );
     }
 }

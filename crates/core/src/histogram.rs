@@ -574,6 +574,127 @@ pub fn split_binomial<R: Rng64 + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
     rounded_normal_count(n as f64 * p, var, 0, n, rng)
 }
 
+/// Largest trial count [`SplitBinomialTable`] memoizes; a tiny `p`
+/// keeps `split_binomial` exact up to `4/p` trials, and the table
+/// stays a few hundred kilobytes at most.
+const TABLE_MAX_TRIALS: u64 = 4096;
+
+/// [`split_binomial`]`(ℓ, p)` for one fixed `p` and many `ℓ`, drawn
+/// bit-identically but without re-walking the pmf on every call: the
+/// per-bin departure law of the dense serve driver, where every bin of
+/// the fleet draws `Binomial(load, p)` every tick.
+///
+/// For each `ℓ` where `split_binomial` runs the exact CDF walk
+/// ([`BinomialSampler::sample_inversion`], mirrored at `p > ½`), the
+/// table stores that walk's CDF values — built by the same recurrence
+/// ([`BinomialSampler::inversion_walk`]), so the same `f64`s — and a
+/// draw is one `next_f64` plus a compare walk over them. Every other
+/// `ℓ` (the rounded-normal regime, or beyond [`TABLE_MAX_TRIALS`])
+/// calls `split_binomial` itself.
+#[derive(Debug, Clone)]
+pub struct SplitBinomialTable {
+    p: f64,
+    /// Draws count failures (`ℓ − k`) when `p > ½`, as the sampler's
+    /// mirror does.
+    flipped: bool,
+    /// `blocks[start[ℓ−1]..start[ℓ]]` holds the stored CDF prefix for
+    /// `ℓ` trials, padded with `+∞` to whole blocks; `start.len() − 1`
+    /// is the largest memoized `ℓ`.
+    start: Vec<usize>,
+    /// `stored[ℓ−1]`: length of that prefix.
+    stored: Vec<usize>,
+    blocks: Vec<[f64; CDF_BLOCK]>,
+}
+
+/// CDF entries compared per step of a [`SplitBinomialTable`] draw: one
+/// cache line, and more than a small-mean walk almost ever needs.
+const CDF_BLOCK: usize = 8;
+
+impl SplitBinomialTable {
+    /// Builds the table for departure probability `p` (empty when `p`
+    /// is 0 or 1, where `split_binomial` draws nothing).
+    pub fn new(p: f64) -> Self {
+        let flipped = p > 0.5;
+        let q = if flipped { 1.0 - p } else { p };
+        let mut table = Self {
+            p,
+            flipped,
+            start: vec![0],
+            stored: Vec::new(),
+            blocks: Vec::new(),
+        };
+        let mut prefix = Vec::new();
+        let mut trials = 1u64;
+        // The same variance test `split_binomial` routes on; below 4,
+        // `trials·q < 8` keeps `BinomialSampler` on its walk from 0.
+        while p > 0.0 && p < 1.0 && trials <= TABLE_MAX_TRIALS {
+            if trials as f64 * p * (1.0 - p) >= SPLIT_NORMAL_VAR {
+                break;
+            }
+            prefix.clear();
+            let mut prev_pmf = f64::INFINITY;
+            for (pmf, c) in BinomialSampler::inversion_walk(trials, q) {
+                // Past the mode the pmf only falls, so once an addend
+                // leaves the CDF unchanged every later one does too: a
+                // draw above the stored prefix walks to `ℓ`.
+                if pmf < prev_pmf && prefix.last() == Some(&c) {
+                    break;
+                }
+                prefix.push(c);
+                // No uniform exceeds 1 − 2⁻⁵³, so the walk stops here.
+                if c >= 1.0 - f64::EPSILON / 2.0 {
+                    break;
+                }
+                prev_pmf = pmf;
+            }
+            for chunk in prefix.chunks(CDF_BLOCK) {
+                let mut block = [f64::INFINITY; CDF_BLOCK];
+                block[..chunk.len()].copy_from_slice(chunk);
+                table.blocks.push(block);
+            }
+            table.start.push(table.blocks.len());
+            table.stored.push(prefix.len());
+            trials += 1;
+        }
+        table
+    }
+
+    /// One `Binomial(trials, p)` draw, bit-identical to
+    /// `split_binomial(trials, p, rng)` (same value, same randomness
+    /// consumed).
+    #[inline]
+    pub fn sample<R: Rng64 + ?Sized>(&self, trials: u64, rng: &mut R) -> u64 {
+        let l = usize::try_from(trials).unwrap_or(usize::MAX);
+        if l == 0 || l >= self.start.len() {
+            return split_binomial(trials, self.p, rng);
+        }
+        let u = rng.next_f64();
+        // The walk stops at the first `k` with `u ≤ cdf(k)`; the CDF is
+        // non-decreasing, so that `k` is the number of entries below
+        // `u`, counted a block at a time without a data-dependent
+        // branch inside the block. A draw above the whole stored
+        // prefix walks to `trials`.
+        let mut below = 0;
+        for block in &self.blocks[self.start[l - 1]..self.start[l]] {
+            let in_block: usize = block.iter().map(|&c| usize::from(c < u)).sum();
+            below += in_block;
+            if in_block < CDF_BLOCK {
+                break;
+            }
+        }
+        let k = if below == self.stored[l - 1] {
+            trials
+        } else {
+            below as u64
+        };
+        if self.flipped {
+            trials - k
+        } else {
+            k
+        }
+    }
+}
+
 /// Draws the total number of uniform bin samples needed to obtain
 /// `hits` hits in an accepting set of probability `p` — a sum of `hits`
 /// geometrics, i.e. `hits + NegativeBinomial(hits, p)` failures. Exact
@@ -2099,6 +2220,29 @@ mod tests {
         }
         // Not the identity (probability 1/257! of a false failure).
         assert!(p.iter().enumerate().any(|(i, &v)| i as u32 != v));
+    }
+
+    #[test]
+    fn split_table_is_bit_identical_to_split_binomial() {
+        // Both regimes of `split_binomial` (walk and rounded normal),
+        // the mirror at p > ½, the degenerate ends, tiny p (a long
+        // table) and loads beyond `TABLE_MAX_TRIALS`.
+        for p in [0.0, 1e-4, 1e-3, 0.05, 0.1, 0.3, 0.5, 0.6, 0.9, 0.999, 1.0] {
+            let table = SplitBinomialTable::new(p);
+            let mut a = SplitMix64::new(p.to_bits());
+            let mut b = a.clone();
+            for load in (0..=300u64).chain([4095, 4096, 4097, 10_000]) {
+                for _ in 0..40 {
+                    assert_eq!(
+                        table.sample(load, &mut a),
+                        split_binomial(load, p, &mut b),
+                        "p = {p}, load = {load}"
+                    );
+                }
+                // Same randomness consumed, not just the same values.
+                assert_eq!(a.next_u64(), b.next_u64(), "p = {p}, load = {load}");
+            }
+        }
     }
 
     #[test]

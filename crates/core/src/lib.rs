@@ -69,7 +69,7 @@ pub mod weighted;
 pub mod prelude {
     pub use crate::batched::BatchedAdaptive;
     pub use crate::bins::LoadVector;
-    pub use crate::error::ProtocolError;
+    pub use crate::error::{ConfigError, ProtocolError};
     pub use crate::faults::{BinState, FaultEvent, FaultKind, FaultPlan};
     pub use crate::histogram::{HistogramSchedule, OccupancyHistogram};
     pub use crate::loads::Loads;

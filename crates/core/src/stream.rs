@@ -23,7 +23,10 @@
 //! departs independently with probability `depart_prob` per tick, so a
 //! class of `c` bins at load `ℓ` splits multinomially over the
 //! `Binomial(ℓ, p)` per-bin departure law — exact, and `O(ℓ)` per
-//! class instead of `O(n)` per tick.
+//! class instead of `O(n)` per tick. A probe's contact is the class of
+//! one uniformly random accepting bin: a uniform rank counted against
+//! cumulative class counts that each placement updates in O(1) and
+//! each tick rebuilds after its faults and departures.
 //!
 //! # Faults, retries, shedding
 //!
@@ -56,6 +59,7 @@
 //! driver ignores `RunConfig::engine` by the documented aliasing rule
 //! that the collapsed serial path *is* the stream engine of this crate.
 
+use crate::error::ConfigError;
 use crate::faults::{FaultKind, FaultPlan};
 use crate::histogram::{
     binomial_profile, rounded_normal_count, split_binomial, OccupancyHistogram,
@@ -80,6 +84,33 @@ pub struct RetryPolicy {
     /// When the accepting fraction of the fleet drops below this,
     /// multi-probe families degrade to one-choice.
     pub fallback_alive_frac: f64,
+}
+
+impl RetryPolicy {
+    /// Checks the policy: both budgets at least 1 and the fallback
+    /// threshold a fraction in `[0, 1]`.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.probe_budget == 0 {
+            return Err(ConfigError::Zero {
+                field: "probe_budget",
+            });
+        }
+        if self.retry_budget == 0 {
+            return Err(ConfigError::Zero {
+                field: "retry_budget",
+            });
+        }
+        probability("fallback_alive_frac", self.fallback_alive_frac)
+    }
+}
+
+/// `Ok` iff `value` lies in `[0, 1]` (NaN does not).
+fn probability(field: &'static str, value: f64) -> Result<(), ConfigError> {
+    if (0.0..=1.0).contains(&value) {
+        Ok(())
+    } else {
+        Err(ConfigError::NotAProbability { field, value })
+    }
 }
 
 impl Default for RetryPolicy {
@@ -116,13 +147,9 @@ pub struct StreamSpec {
 }
 
 impl StreamSpec {
-    /// A fault-free Poisson stream with the default retry policy.
+    /// A fault-free Poisson stream with the default retry policy. The
+    /// drivers check it with [`StreamSpec::validate`].
     pub fn new(ticks: u64, depart_prob: f64) -> Self {
-        assert!(ticks > 0, "a stream needs at least one tick");
-        assert!(
-            (0.0..=1.0).contains(&depart_prob),
-            "depart_prob {depart_prob} outside [0, 1]"
-        );
         Self {
             ticks,
             depart_prob,
@@ -149,6 +176,21 @@ impl StreamSpec {
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
         self
+    }
+
+    /// The one check both serve drivers run before a stream over `n`
+    /// bins starts (they panic on an error; the CLI reports it and
+    /// exits 2): at least one bin and one tick, `depart_prob` in
+    /// `[0, 1]`, and a valid [`RetryPolicy`].
+    pub fn validate(&self, n: usize) -> Result<(), ConfigError> {
+        if n == 0 {
+            return Err(ConfigError::Zero { field: "n" });
+        }
+        if self.ticks == 0 {
+            return Err(ConfigError::Zero { field: "ticks" });
+        }
+        probability("depart_prob", self.depart_prob)?;
+        self.retry.validate()
     }
 }
 
@@ -395,6 +437,8 @@ struct Classes {
     drain: OccupancyHistogram,
     dead: OccupancyHistogram,
     slow: u64,
+    /// Class pick index over `accept`, rebuilt at every tick start.
+    index: ClassIndex,
 }
 
 impl Classes {
@@ -404,6 +448,63 @@ impl Classes {
             drain: OccupancyHistogram::empty(),
             dead: OccupancyHistogram::empty(),
             slow: 0,
+            index: ClassIndex::default(),
+        }
+    }
+
+    /// Places one ball in an accepting bin of class `l`.
+    fn place(&mut self, l: u32) {
+        self.accept.promote(l, 1, 1);
+        self.index.promote(l);
+    }
+}
+
+/// Cumulative class counts of the accepting histogram: `cum[i]` is the
+/// number of accepting bins with load at most `base + i`. Within a
+/// tick only placements move accepting bins (faults strike at the tick
+/// boundary, departures at its end), and a placement moves one bin up
+/// one class, so the array stays exact at O(1) per ball between
+/// rebuilds.
+#[derive(Default)]
+struct ClassIndex {
+    base: u32,
+    cum: Vec<u64>,
+}
+
+impl ClassIndex {
+    /// Re-derives the counts from `accept` (after faults and
+    /// departures).
+    fn rebuild(&mut self, accept: &OccupancyHistogram) {
+        self.cum.clear();
+        if accept.n() == 0 {
+            return;
+        }
+        self.base = accept.min_load();
+        let mut below = 0u64;
+        for l in self.base..=accept.max_load() {
+            below += accept.count(l);
+            self.cum.push(below);
+        }
+    }
+
+    /// The class of the accepting bin of rank `r` in ascending load
+    /// order (`r` uniform over the accepting bins picks the class of a
+    /// uniformly random accepting bin): the first class whose
+    /// cumulative count exceeds `r`, counted without a branch.
+    #[inline]
+    fn class_of(&self, r: u64) -> u32 {
+        let below = self.cum.iter().map(|&c| u32::from(c <= r)).sum::<u32>();
+        self.base + below
+    }
+
+    /// One bin moved from class `l` to `l + 1`.
+    #[inline]
+    fn promote(&mut self, l: u32) {
+        let i = (l - self.base) as usize;
+        self.cum[i] -= 1;
+        if i + 1 == self.cum.len() {
+            // The span grew: the new top class holds every bin.
+            self.cum.push(self.cum[i] + 1);
         }
     }
 }
@@ -507,21 +608,6 @@ enum Style {
     LeastOf(u32),
 }
 
-/// Uniform-by-count class pick over the accepting histogram (the class
-/// of one uniformly random accepting bin).
-fn pick_class<R: Rng64 + ?Sized>(accept: &OccupancyHistogram, rng: &mut R) -> u32 {
-    let mut r = rng.range_u64(accept.n());
-    let mut chosen = accept.max_load();
-    for (l, c) in accept.levels() {
-        if r < c {
-            chosen = l;
-            break;
-        }
-        r -= c;
-    }
-    chosen
-}
-
 /// Runs one placement attempt. `Ok(samples)` placed a ball (already
 /// promoted into the accepting histogram); `Err(samples)` exhausted the
 /// probe budget.
@@ -560,15 +646,15 @@ fn place_attempt<R: Rng64 + ?Sized>(
             1
         };
         samples += cost;
-        let class = pick_class(&classes.accept, rng);
+        let class = classes.index.class_of(rng.range_u64(accept_n));
         match style {
             Style::Uniform => {
-                classes.accept.promote(class, 1, 1);
+                classes.place(class);
                 return Ok(samples);
             }
             Style::Below(t) => {
                 if class < t {
-                    classes.accept.promote(class, 1, 1);
+                    classes.place(class);
                     return Ok(samples);
                 }
             }
@@ -577,7 +663,7 @@ fn place_attempt<R: Rng64 + ?Sized>(
                 found += 1;
                 if found >= d {
                     let b = best.expect("greedy candidate");
-                    classes.accept.promote(b, 1, 1);
+                    classes.place(b);
                     return Ok(samples);
                 }
             }
@@ -614,15 +700,10 @@ fn drive<R: Rng64 + ?Sized>(
     mut series: Option<&mut Vec<TickStats>>,
     mut latency: Option<&mut LatencyTail>,
 ) -> Outcome {
-    assert!(cfg.n > 0, "stream: need at least one bin");
-    assert!(spec.ticks > 0, "stream: need at least one tick");
+    if let Err(e) = spec.validate(cfg.n) {
+        panic!("serve: {e}");
+    }
     let retry = spec.retry;
-    assert!(retry.probe_budget >= 1, "probe budget must be ≥ 1");
-    assert!(retry.retry_budget >= 1, "retry budget must be ≥ 1");
-    assert!(
-        (0.0..=1.0).contains(&retry.fallback_alive_frac),
-        "fallback threshold outside [0, 1]"
-    );
     let n_total = cfg.n as u64;
     let budget = retry.probe_budget as u64;
     let mut classes = Classes::fresh(cfg.n);
@@ -643,6 +724,7 @@ fn drive<R: Rng64 + ?Sized>(
 
     for tick in 0..spec.ticks {
         apply_faults(&mut classes, &spec.faults, tick);
+        classes.index.rebuild(&classes.accept);
         let accept_n = classes.accept.n();
         let fallback = !matches!(family, Family::OneChoice)
             && (accept_n as f64) < retry.fallback_alive_frac * n_total as f64;
@@ -751,8 +833,12 @@ fn drive<R: Rng64 + ?Sized>(
     for (l, cnt) in classes.dead.levels() {
         merged.add_bins(l, cnt);
     }
-    debug_assert_eq!(merged.n(), n_total, "fleet not conserved");
-    debug_assert_eq!(merged.total_balls(), c.in_system, "stream mass drift");
+    assert_eq!(merged.n(), n_total, "serve: fleet not conserved");
+    assert_eq!(
+        merged.total_balls(),
+        c.in_system,
+        "serve: ball mass drifted from placed − departed"
+    );
 
     let alive_frac = classes.accept.n() as f64 / n_total as f64;
     let recon_seed = rng.next_u64();
@@ -887,6 +973,64 @@ mod tests {
         // Everyone is back by the end.
         assert_eq!(s.alive_frac, 1.0);
         report.outcome.validate();
+    }
+
+    #[test]
+    fn validate_names_the_first_bad_field() {
+        let ok = StreamSpec::new(10, 0.1);
+        assert_eq!(ok.validate(8), Ok(()));
+        assert_eq!(ok.validate(0), Err(ConfigError::Zero { field: "n" }));
+        assert_eq!(
+            StreamSpec::new(0, 0.1).validate(8),
+            Err(ConfigError::Zero { field: "ticks" })
+        );
+        assert!(matches!(
+            StreamSpec::new(10, 1.5).validate(8),
+            Err(ConfigError::NotAProbability {
+                field: "depart_prob",
+                ..
+            })
+        ));
+        let with = |retry| StreamSpec::new(10, 0.1).with_retry(retry).validate(8);
+        let base = RetryPolicy::default();
+        assert_eq!(
+            with(RetryPolicy {
+                probe_budget: 0,
+                ..base
+            }),
+            Err(ConfigError::Zero {
+                field: "probe_budget"
+            })
+        );
+        assert_eq!(
+            with(RetryPolicy {
+                retry_budget: 0,
+                ..base
+            }),
+            Err(ConfigError::Zero {
+                field: "retry_budget"
+            })
+        );
+        assert!(matches!(
+            with(RetryPolicy {
+                fallback_alive_frac: f64::NAN,
+                ..base
+            }),
+            Err(ConfigError::NotAProbability {
+                field: "fallback_alive_frac",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "serve: probe_budget must be at least 1")]
+    fn serve_panics_on_an_invalid_spec() {
+        let spec = StreamSpec::new(4, 0.1).with_retry(RetryPolicy {
+            probe_budget: 0,
+            ..RetryPolicy::default()
+        });
+        serve(&spec, Family::OneChoice, &RunConfig::new(8, 32), 1);
     }
 
     #[test]

@@ -9,15 +9,24 @@
 //! ```text
 //! tick:  [leader: faults, params, arrivals count, due retries]
 //!        barrier
-//!        [all: snapshot copy of live loads]          (chunked bins)
-//!        barrier
 //!        [all: place due retries + fresh arrivals]   (chunked items)
 //!        barrier
-//!        [all: per-bin binomial departures]          (chunked bins)
+//!        [all: per-bin binomial departures,          (chunked bins)
+//!              write next tick's snapshot,
+//!              fold accepting min/max (gap)]
 //!        barrier
-//!        [leader: merge retry fails, record series]
-//!        barrier
+//!        [leader: merge retry fails, record series]  (then next tick)
 //! ```
+//!
+//! Three barriers per tick. There is no snapshot phase: faults never
+//! move loads, so the loads a tick's departures leave are exactly the
+//! next tick's placement snapshot, and the departure phase writes them
+//! there. The gap needs no leader scan either: each worker folds the
+//! accepting bins it owns into one `fetch_min` and one `fetch_max`.
+//! Departures draw through [`SplitBinomialTable`], the per-run memo of
+//! `split_binomial`'s exact CDF walk, bit-identical to calling it. A
+//! probe reads one packed word per bin (state code and tick-start
+//! load), so it costs one cache miss, not two.
 //!
 //! # Determinism across thread counts
 //!
@@ -42,6 +51,7 @@
 
 use crate::shard::{chunk_stream, owned_chunks, unwrap_loads};
 use bib_core::faults::BinState;
+use bib_core::histogram::SplitBinomialTable;
 use bib_core::loads::Loads;
 use bib_core::protocol::{Outcome, RunConfig};
 use bib_core::scenario::{strict_int_bound, Family, Scenario};
@@ -72,6 +82,19 @@ enum Style {
     LeastOf(u32),
 }
 
+/// One bin's probe view: state code in the high half, load in the low.
+fn pack(state: BinState, load: u32) -> u64 {
+    u64::from(state.code()) << 32 | u64::from(load)
+}
+
+/// Inverse of [`pack`].
+#[inline]
+fn unpack(view: u64) -> (BinState, u32) {
+    let code = u32::try_from(view >> 32).expect("a shifted u64 fits u32");
+    let load = u32::try_from(view & u64::from(u32::MAX)).expect("masked to 32 bits");
+    (BinState::from_code(code), load)
+}
+
 /// Runs a stream on the dense sharded engine with `cfg.threads`
 /// workers, returning the same [`StreamReport`] surface as the serial
 /// [`bib_core::stream::serve`]. Deterministic in `(seed, spec, cfg)`
@@ -83,11 +106,10 @@ pub fn serve_concurrent(
     seed: u64,
 ) -> StreamReport {
     let n = cfg.n;
-    assert!(n > 0, "stream: need at least one bin");
-    assert!(spec.ticks > 0, "stream: need at least one tick");
+    if let Err(e) = spec.validate(n) {
+        panic!("serve_concurrent: {e}");
+    }
     let retry = spec.retry;
-    assert!(retry.probe_budget >= 1, "probe budget must be ≥ 1");
-    assert!(retry.retry_budget >= 1, "retry budget must be ≥ 1");
     let workers = cfg.threads.max(1);
     let budget = u64::from(retry.probe_budget);
     let ring_len = retry.backoff_cap.max(1) as u64 + 1;
@@ -95,17 +117,20 @@ pub fn serve_concurrent(
     let engine_seed = SeedSequence::new(seed).child_str(&name).rng().next_u64();
     let place_seeds = SeedSequence::new(engine_seed).child_str("place");
     let depart_seeds = SeedSequence::new(engine_seed).child_str("depart");
+    let churn = spec.depart_prob > 0.0;
+    let departures = SplitBinomialTable::new(spec.depart_prob);
 
     // Dense bin shards. ORDERING: Relaxed throughout this driver — each
-    // phase either only writes its own chunk (snapshot copy,
-    // departures), takes commutative `fetch_add`s (placements), or
+    // phase either only writes its own chunk (departures and the next
+    // snapshot), takes commutative `fetch_add`s (placements), or
     // reads values settled by the previous phase's barrier; the barrier
     // is the only inter-phase publication (module docs).
     let loads: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-    let snapshot: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+    // What a probe reads, packed so it costs one cache miss: the bin's
+    // state code (high half) and its tick-start load (low half).
     // ORDERING: Relaxed — same barrier-publication contract as above.
-    let states: Vec<AtomicU32> = (0..n)
-        .map(|_| AtomicU32::new(BinState::Alive.code()))
+    let probe_view: Vec<AtomicU64> = (0..n)
+        .map(|_| AtomicU64::new(pack(BinState::Alive, 0)))
         .collect();
 
     // Per-tick parameters, leader-published before the top-of-tick
@@ -129,6 +154,11 @@ pub fn serve_concurrent(
     // ORDERING: Relaxed — same commutative-accumulator contract.
     let max_samples = AtomicU64::new(0);
     let alive_final = AtomicU64::new(n as u64);
+    // The accepting bins' min and max load after a tick's departures,
+    // folded per worker; the leader resets them at every tick start.
+    // ORDERING: Relaxed — same commutative-accumulator contract.
+    let gap_min = AtomicU32::new(u32::MAX);
+    let gap_max = AtomicU32::new(0);
 
     // Leader-rebuilt per-tick structures (locked only at phase edges).
     let due_shared: Mutex<Vec<Pending>> = Mutex::new(Vec::new());
@@ -161,9 +191,11 @@ pub fn serve_concurrent(
                 // something changed.
                 if spec.faults.apply_dense(tick, master) {
                     for (b, s) in master.iter().enumerate() {
-                        // ORDERING: Relaxed — leader-only store,
-                        // published by the barrier below.
-                        states[b].store(s.code(), Ordering::Relaxed);
+                        // ORDERING: Relaxed — leader-only read-modify-
+                        // write, published by the barrier below; the
+                        // low half is the settled post-departure load.
+                        let (_, load) = unpack(probe_view[b].load(Ordering::Relaxed));
+                        probe_view[b].store(pack(*s, load), Ordering::Relaxed);
                     }
                     alive_n = master.iter().filter(|s| s.accepts()).count() as u64;
                 }
@@ -204,18 +236,11 @@ pub fn serve_concurrent(
                 style_kind.store(kind, Ordering::Relaxed);
                 style_param.store(param, Ordering::Relaxed);
                 fallback_flag.store(u32::from(fallback), Ordering::Relaxed);
+                // ORDERING: Relaxed — reset before the barrier below;
+                // the departure phase folds into them after it.
+                gap_min.store(u32::MAX, Ordering::Relaxed);
+                gap_max.store(0, Ordering::Relaxed);
                 *due_shared.lock().expect("due lock") = due;
-            }
-            bar.sync();
-
-            // Snapshot phase: freeze tick-start loads so placement
-            // decisions are interleaving-free.
-            for (_, lo, hi) in owned_chunks(w, workers, n as u64) {
-                for b in lo as usize..hi as usize {
-                    // ORDERING: Relaxed — exclusive chunk owner;
-                    // settled by the barriers around this phase.
-                    snapshot[b].store(loads[b].load(Ordering::Relaxed), Ordering::Relaxed);
-                }
             }
             bar.sync();
 
@@ -257,9 +282,10 @@ pub fn serve_concurrent(
                     let mut landed = false;
                     while samples < budget {
                         let b = crng.range_usize(n);
-                        // ORDERING: Relaxed — states change only in the
-                        // leader phase, barrier-separated from here.
-                        let st = BinState::from_code(states[b].load(Ordering::Relaxed));
+                        // ORDERING: Relaxed — the view is frozen for the
+                        // whole placement phase (barrier-separated
+                        // writes in the leader and departure phases).
+                        let (st, load) = unpack(probe_view[b].load(Ordering::Relaxed));
                         if !st.accepts() {
                             // A contacted dead/draining bin costs the
                             // probe and forces a re-draw.
@@ -267,9 +293,6 @@ pub fn serve_concurrent(
                             continue;
                         }
                         samples += st.contact_cost();
-                        // ORDERING: Relaxed — the snapshot is frozen
-                        // for the whole placement phase.
-                        let load = snapshot[b].load(Ordering::Relaxed);
                         let commit = match style {
                             Style::Uniform => Some(b),
                             Style::Below(t) => (load < t).then_some(b),
@@ -325,35 +348,45 @@ pub fn serve_concurrent(
 
             // Departure phase: every resident ball departs with
             // probability p; dead bins freeze. Exclusive chunk
-            // ownership makes the plain load/store safe.
-            if spec.depart_prob > 0.0 {
-                let mut departed = 0u64;
-                for (chunk, lo, hi) in owned_chunks(w, workers, n as u64) {
-                    let mut crng = chunk_stream(depart_seeds, tick, chunk);
-                    for b in lo as usize..hi as usize {
-                        // ORDERING: Relaxed — states are frozen outside
-                        // the leader phase; loads owned by this chunk.
-                        let st = BinState::from_code(states[b].load(Ordering::Relaxed));
-                        let load = loads[b].load(Ordering::Relaxed);
-                        if st.departs() && load > 0 {
-                            let gone: u32 = bib_core::histogram::split_binomial(
-                                u64::from(load),
-                                spec.depart_prob,
-                                &mut crng,
-                            )
+            // ownership makes the plain load/store safe. Faults never
+            // move loads, so the post-departure loads are next tick's
+            // placement snapshot, and the gap over the accepting bins
+            // folds into one min and one max per worker.
+            let mut departed = 0u64;
+            let (mut lo_acc, mut hi_acc) = (u32::MAX, 0u32);
+            for (chunk, lo, hi) in owned_chunks(w, workers, n as u64) {
+                let mut crng = chunk_stream(depart_seeds, tick, chunk);
+                for b in lo as usize..hi as usize {
+                    // ORDERING: Relaxed — states are frozen outside
+                    // the leader phase; loads owned by this chunk.
+                    let (st, _) = unpack(probe_view[b].load(Ordering::Relaxed));
+                    let mut load = loads[b].load(Ordering::Relaxed);
+                    if churn && st.departs() && load > 0 {
+                        let gone: u32 = departures
+                            .sample(u64::from(load), &mut crng)
                             .try_into()
                             .expect("binomial sample bounded by its u32 trial count");
-                            if gone > 0 {
-                                // ORDERING: Relaxed — exclusive owner.
-                                loads[b].store(load - gone, Ordering::Relaxed);
-                                departed += u64::from(gone);
-                            }
+                        if gone > 0 {
+                            load -= gone;
+                            // ORDERING: Relaxed — exclusive owner.
+                            loads[b].store(load, Ordering::Relaxed);
+                            departed += u64::from(gone);
                         }
                     }
+                    // ORDERING: Relaxed — exclusive chunk owner; read
+                    // only after the next tick's first barrier.
+                    probe_view[b].store(pack(st, load), Ordering::Relaxed);
+                    if st.accepts() {
+                        lo_acc = lo_acc.min(load);
+                        hi_acc = hi_acc.max(load);
+                    }
                 }
-                // ORDERING: Relaxed — commutative add, barrier-settled.
-                departed_total.fetch_add(departed, Ordering::Relaxed);
             }
+            // ORDERING: Relaxed — commutative add/min/max, read by the
+            // leader after the barrier below.
+            departed_total.fetch_add(departed, Ordering::Relaxed);
+            gap_min.fetch_min(lo_acc, Ordering::Relaxed);
+            gap_max.fetch_max(hi_acc, Ordering::Relaxed);
             bar.sync();
 
             if leader {
@@ -367,19 +400,14 @@ pub fn serve_concurrent(
                     let delay = (1u64 << (ball.attempts - 1).min(31)).min(ring_len - 1);
                     ring[((tick + delay) % ring_len) as usize].push(ball);
                 }
-                // Tick record: gap/max over the accepting bins.
-                let master = master.as_ref().expect("leader state");
-                let (mut min_l, mut max_l) = (u32::MAX, 0u32);
-                for (b, s) in master.iter().enumerate() {
-                    if s.accepts() {
-                        // ORDERING: Relaxed — placements and departures
-                        // settled by the barriers above.
-                        let l = loads[b].load(Ordering::Relaxed);
-                        min_l = min_l.min(l);
-                        max_l = max_l.max(l);
-                    }
-                }
+                // Tick record: gap/max over the accepting bins, folded
+                // by the departure phase.
                 let (gap, max_load) = if alive_n > 0 {
+                    // ORDERING: Relaxed — settled by the barrier above.
+                    let (min_l, max_l) = (
+                        gap_min.load(Ordering::Relaxed),
+                        gap_max.load(Ordering::Relaxed),
+                    );
                     (max_l - min_l, max_l)
                 } else {
                     (0, 0)
@@ -403,7 +431,6 @@ pub fn serve_concurrent(
                     samples: samples_total.load(Ordering::Relaxed),
                 });
             }
-            bar.sync();
         }
 
         if leader {
@@ -425,6 +452,12 @@ pub fn serve_concurrent(
     let departed = departed_total.into_inner();
     let shed = shed_total.into_inner();
     let placed = placed_total.into_inner();
+    let resident: u64 = loads.iter().map(|&l| u64::from(l)).sum();
+    assert_eq!(
+        resident,
+        placed - departed,
+        "serve_concurrent: ball mass drifted from placed − departed"
+    );
     let outcome = Outcome {
         protocol: name,
         n,
@@ -502,6 +535,16 @@ mod tests {
         let s = &report.outcome.scenario;
         assert!(s.shed + s.fallbacks > 0, "faults left no trace");
         assert_eq!(s.alive_frac, 1.0, "everyone recovered");
+    }
+
+    #[test]
+    #[should_panic(expected = "serve_concurrent: fallback_alive_frac = 2 is outside [0, 1]")]
+    fn shares_the_serial_drivers_spec_check() {
+        let spec = StreamSpec::new(4, 0.1).with_retry(RetryPolicy {
+            fallback_alive_frac: 2.0,
+            ..RetryPolicy::default()
+        });
+        serve_concurrent(&spec, Family::Adaptive, &cfg(64, 256, 2), 1);
     }
 
     #[test]

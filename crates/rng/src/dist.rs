@@ -268,17 +268,26 @@ impl BinomialSampler {
     /// inversion paths on the same parameters; use `sample` (which
     /// picks the regime) otherwise.
     pub fn sample_inversion<R: Rng64 + ?Sized>(n: u64, q: f64, rng: &mut R) -> u64 {
-        let ratio = q / (1.0 - q);
-        let mut k = 0u64;
-        let mut pmf = (1.0 - q).powi(n as i32).max(f64::MIN_POSITIVE);
-        let mut cdf = pmf;
         let u = rng.next_f64();
-        while u > cdf && k < n {
-            pmf *= (n - k) as f64 * ratio / (k + 1) as f64;
-            k += 1;
-            cdf += pmf;
+        Self::inversion_walk(n, q)
+            .position(|(_, cdf)| u <= cdf)
+            .map_or(n, |k| k as u64)
+    }
+
+    /// The pmf recurrence [`BinomialSampler::sample_inversion`] walks:
+    /// `(pmf(k), cdf(k))` for `k = 0, 1, …, n`, in the float values
+    /// that sampler compares against. A caller that memoizes the CDF of
+    /// `Bin(n, q)` over many draws iterates this and gets the same
+    /// `f64`s, so its samples stay bit-identical to the walk's.
+    pub fn inversion_walk(n: u64, q: f64) -> impl Iterator<Item = (f64, f64)> {
+        let pmf = (1.0 - q).powi(n as i32).max(f64::MIN_POSITIVE);
+        InversionWalk {
+            n,
+            next_k: 0,
+            ratio: q / (1.0 - q),
+            pmf,
+            cdf: pmf,
         }
-        k
     }
 
     /// CDF inversion centred at the mode, for large means: lay the pmf
@@ -333,6 +342,35 @@ impl BinomialSampler {
                 return mode;
             }
         }
+    }
+}
+
+/// State of [`BinomialSampler::inversion_walk`]: the pmf and CDF at
+/// `next_k − 1`.
+struct InversionWalk {
+    n: u64,
+    next_k: u64,
+    ratio: f64,
+    pmf: f64,
+    cdf: f64,
+}
+
+impl Iterator for InversionWalk {
+    type Item = (f64, f64);
+
+    #[inline]
+    fn next(&mut self) -> Option<(f64, f64)> {
+        let k = self.next_k;
+        if k > self.n {
+            return None;
+        }
+        if k > 0 {
+            // pmf(k) = pmf(k−1) · (n − (k−1))/k · q/(1−q).
+            self.pmf *= (self.n - (k - 1)) as f64 * self.ratio / k as f64;
+            self.cdf += self.pmf;
+        }
+        self.next_k = k + 1;
+        Some((self.pmf, self.cdf))
     }
 }
 

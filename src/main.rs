@@ -27,6 +27,10 @@
 //! dense sharded engine, bit-identical across thread counts. Prints a
 //! summary line; `--series` dumps the per-tick CSV
 //! (tick, in-system, gap, max load, alive ppm, cumulative counters).
+//! A configuration `StreamSpec::validate` rejects (`--n 0`,
+//! `--ticks 0`, a zero probe or retry budget, a fallback fraction
+//! outside [0, 1]) is a typed [`ConfigError`] on stderr with exit code
+//! 2, like any other usage error; budgets must fit in 32 bits.
 
 use balls_into_bins::core::prelude::*;
 use balls_into_bins::core::protocol::StageTrace;
@@ -65,6 +69,13 @@ fn usage() -> ! {
 fn parse_u64(v: Option<String>, flag: &str) -> u64 {
     v.and_then(|s| s.parse().ok()).unwrap_or_else(|| {
         eprintln!("error: {flag} needs an unsigned integer");
+        usage()
+    })
+}
+
+fn parse_u32(v: Option<String>, flag: &str) -> u32 {
+    v.and_then(|s| s.parse().ok()).unwrap_or_else(|| {
+        eprintln!("error: {flag} needs an unsigned integer below 2^32");
         usage()
     })
 }
@@ -252,14 +263,12 @@ fn main() {
                     "--poisson" => poisson = true,
                     "--series" => series = true,
                     "--probe-budget" => {
-                        retry.probe_budget = parse_u64(args.next(), "--probe-budget") as u32
+                        retry.probe_budget = parse_u32(args.next(), "--probe-budget")
                     }
                     "--retry-budget" => {
-                        retry.retry_budget = parse_u64(args.next(), "--retry-budget") as u32
+                        retry.retry_budget = parse_u32(args.next(), "--retry-budget")
                     }
-                    "--backoff-cap" => {
-                        retry.backoff_cap = parse_u64(args.next(), "--backoff-cap") as u32
-                    }
+                    "--backoff-cap" => retry.backoff_cap = parse_u32(args.next(), "--backoff-cap"),
                     "--fallback-frac" => {
                         retry.fallback_alive_frac = parse_f64(args.next(), "--fallback-frac")
                     }
@@ -301,6 +310,10 @@ fn main() {
                 .with_faults(plan)
                 .with_retry(retry);
             spec.poisson = poisson;
+            if let Err(e) = spec.validate(n) {
+                eprintln!("error: bad serve configuration: {e}");
+                usage()
+            }
             let cfg = RunConfig::new(n, arrivals).with_threads(threads);
             let report = if threads > 1 {
                 balls_into_bins::parallel::serve_concurrent(&spec, family, &cfg, seed)
