@@ -61,9 +61,10 @@ pub mod pool {
 
     /// `spin_loop` iterations a waiter polls the round counter before
     /// it parks. No clock (rule D1): a bounded count of CPU pause
-    /// hints, tens to hundreds of microseconds on current hardware —
-    /// long enough to cover the phase imbalance of a superstep round,
-    /// short enough that a long wait still sleeps.
+    /// hints, from a few hundred microseconds to a few milliseconds
+    /// depending on the pause latency of the core — long enough to
+    /// cover the phase imbalance of a superstep round, short enough
+    /// that a long wait still sleeps.
     const SPIN_LIMIT: u32 = 1 << 16;
 
     /// How long a waiter spins before parking: [`SPIN_LIMIT`] when every

@@ -574,9 +574,10 @@ pub fn split_binomial<R: Rng64 + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
     rounded_normal_count(n as f64 * p, var, 0, n, rng)
 }
 
-/// Largest trial count [`SplitBinomialTable`] memoizes; a tiny `p`
-/// keeps `split_binomial` exact up to `4/p` trials, and the table
-/// stays a few hundred kilobytes at most.
+/// Largest trial count [`SplitBinomialTable`] memoizes: `split_binomial`
+/// walks exactly up to about `4/p` trials, so a tiny `p` would
+/// otherwise grow the table without bound; capped, it stays near a
+/// megabyte at most.
 const TABLE_MAX_TRIALS: u64 = 4096;
 
 /// [`split_binomial`]`(ℓ, p)` for one fixed `p` and many `ℓ`, drawn
@@ -2230,7 +2231,7 @@ mod tests {
         for p in [0.0, 1e-4, 1e-3, 0.05, 0.1, 0.3, 0.5, 0.6, 0.9, 0.999, 1.0] {
             let table = SplitBinomialTable::new(p);
             let mut a = SplitMix64::new(p.to_bits());
-            let mut b = a.clone();
+            let mut b = a;
             for load in (0..=300u64).chain([4095, 4096, 4097, 10_000]) {
                 for _ in 0..40 {
                     assert_eq!(
